@@ -15,7 +15,6 @@ solution can be checked against an independent adaptive Runge-Kutta oracle,
 a finite-difference residual, and class-specific invariants.
 """
 
-from ._backend import available_backends, get_backend, set_backend
 from .errors import (ConvergenceError, EvalDomainError, EvalError,
                      EvalOverflowError, ExprSyntaxError, InconclusiveError,
                      NoOverlapError, OdeformError, OutsideValidityError,
@@ -25,7 +24,7 @@ from .quad import (Antiderivative, QuadratureConfig, antiderivative,
                    as_array_fn, integrate, integrate_many,
                    weighted_cumulative)
 from .solvers import (ClosedFormSolution, EquationClass, EquationSpec,
-                      InitialCondition, Interval, signed_power,
+                      InitialCondition, Interval, construct, signed_power,
                       solve_bernoulli, solve_bernoulli_via_linear, solve_exp,
                       solve_linear_general, solve_linear_ivp,
                       solve_second_order, solve_second_order_ivp)
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "available_backends", "get_backend", "set_backend",
     "OdeformError", "ExprSyntaxError", "EvalError", "EvalDomainError",
     "EvalOverflowError", "ConvergenceError", "ParameterError",
     "OutsideValidityError", "NoOverlapError", "InconclusiveError",
@@ -46,7 +44,7 @@ __all__ = [
     "QuadratureConfig", "integrate", "integrate_many", "Antiderivative",
     "antiderivative", "weighted_cumulative", "as_array_fn",
     "EquationClass", "EquationSpec", "InitialCondition", "Interval",
-    "ClosedFormSolution", "signed_power",
+    "ClosedFormSolution", "construct", "signed_power",
     "solve_linear_ivp", "solve_linear_general", "solve_bernoulli",
     "solve_bernoulli_via_linear", "solve_exp", "solve_second_order",
     "solve_second_order_ivp",

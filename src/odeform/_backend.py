@@ -1,31 +1,23 @@
-"""Kernel backend selection: a numba-jitted tape interpreter with a pure
-numpy fallback.
+"""Tape interpreters and the package-wide power rule.
 
 Expressions compile to a postfix tape (opcode array plus aligned constant
-array) that the kernels interpret over arrays of evaluation points.
+array). ``tape_eval`` interprets it over an array of evaluation points,
+applying each opcode to whole arrays. ``_tape_eval_core`` is a plain Python
+loop over the points with the same semantics; it is the scalar reference
+that the parity test compares the kernel against.
 
-``_tape_eval_core`` is a plain Python scalar loop over the points. It is the
-reference interpreter: the parity tests run it uncompiled and require each
-kernel to match it. The selectable kernels are:
+Every evaluated point gets a status; callers turn nonzero statuses into
+exceptions so NaN never leaks.
 
-* ``numba`` -- a jitted copy of ``_tape_eval_core``, present only when numba
-  imports (the default then);
-* ``numpy`` -- a vectorized interpreter that walks the tape once and applies
-  each opcode to whole arrays.
-
-The ODEFORM_NUMBA environment variable picks the backend at import time:
-unset or "auto" prefers numba, "0"/"off"/"false"/"numpy" forces the fallback,
-"1"/"on"/"require" fails loudly if numba is missing. set_backend() switches
-at runtime; the benchmark and the per-backend test fixture use it.
-
-Both implementations follow identical semantics: same status codes, same
-power special cases, same overflow threshold. Every evaluated point gets a
-status; callers turn nonzero statuses into exceptions so NaN never leaks.
+Powers follow one rule, written once per shape: ``pow_vector`` for arrays
+(the kernel, the residual check) and ``pow_scalar`` for single floats (the
+reference interpreter, ``signed_power``, the constructors, the oracle).
+Positive bases behave as usual, 0**positive is 0 and 0**0 is 1, and a
+negative base is accepted only for an exponent within a relative 2^-52 of
+an integer, with the sign following that integer's parity.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -59,13 +51,43 @@ ERR_OVERFLOW = 5
 EXP_MAX = 709.782712893384  # log of the largest finite double
 INT_REL_TOL = 2.0 ** -52    # exponents this close to an integer count as one
 
-_ENV_VAR = "ODEFORM_NUMBA"
+
+def is_integer_valued(v: float) -> bool:
+    """Whether ``v`` counts as an integer exponent."""
+    return abs(v - round(v)) <= INT_REL_TOL * max(1.0, abs(v))
+
+
+def pow_scalar(a, b):
+    """a**b by the power rule, or None where it has no real value."""
+    if a > 0.0:
+        return a ** b
+    if a == 0.0:
+        if b > 0.0:
+            return 0.0
+        if b == 0.0:
+            return 1.0
+        return None
+    if not is_integer_valued(b):
+        return None
+    r = (-a) ** b
+    return -r if round(b) % 2 == 1 else r
+
+
+def pow_vector(a: np.ndarray, b):
+    """Elementwise a**b by the power rule; returns (values, bad), where
+    ``bad`` marks the points with no real value (their values are junk)."""
+    neg = a < 0.0
+    nb = np.rint(b)
+    isint = np.abs(b - nb) <= INT_REL_TOL * np.maximum(np.abs(b), 1.0)
+    bad = (neg & ~isint) | ((a == 0.0) & (b < 0.0))
+    r = np.abs(a) ** b
+    odd = np.fmod(np.abs(nb), 2.0) == 1.0
+    return np.where(neg & odd, -r, r), bad
 
 
 def _tape_eval_core(code, cval, need, xs):
-    # Scalar reference interpreter, checked uncompiled against each kernel by
-    # the parity tests. When numba imports, it jits a copy of this function
-    # as the numba kernel.
+    # Scalar reference interpreter, checked against tape_eval by the parity
+    # test.
     n = xs.shape[0]
     m = code.shape[0]
     out = np.empty(n)
@@ -89,7 +111,6 @@ def _tape_eval_core(code, cval, need, xs):
                 b = stack[sp - 1]
                 a = stack[sp - 2]
                 sp -= 1
-                r = 0.0
                 if op == OP_ADD:
                     r = a + b
                 elif op == OP_SUB:
@@ -102,33 +123,16 @@ def _tape_eval_core(code, cval, need, xs):
                         break
                     r = a / b
                 else:
-                    if a > 0.0:
-                        r = a ** b
-                    elif a == 0.0:
-                        if b > 0.0:
-                            r = 0.0
-                        elif b == 0.0:
-                            r = 1.0
-                        else:
-                            st = ERR_POW_DOMAIN
-                            break
-                    else:
-                        ab = abs(b)
-                        tol = INT_REL_TOL * (ab if ab > 1.0 else 1.0)
-                        nb = np.rint(b)
-                        if abs(b - nb) > tol:
-                            st = ERR_POW_DOMAIN
-                            break
-                        r = (-a) ** b
-                        if np.fmod(abs(nb), 2.0) == 1.0:
-                            r = -r
+                    r = pow_scalar(a, b)
+                    if r is None:
+                        st = ERR_POW_DOMAIN
+                        break
                 stack[sp - 1] = r
                 if not np.isfinite(r):
                     st = ERR_OVERFLOW
                     break
             else:
                 a = stack[sp - 1]
-                r = 0.0
                 if op == OP_SIN:
                     r = np.sin(a)
                 elif op == OP_COS:
@@ -166,11 +170,12 @@ def _tape_eval_core(code, cval, need, xs):
     return out, status
 
 
-def _tape_eval_numpy(code, cval, need, xs):
-    # Vectorized interpreter. Status is sticky: once a lane errors, later ops
-    # may compute garbage there but never change its status, and the output
-    # lane is forced to NaN at the end. That matches the scalar kernel, which
-    # breaks out at the first error.
+def tape_eval(code, cval, need, xs):
+    """Run the compiled tape over ``xs``; returns (values, statuses)."""
+    # Status is sticky: once a lane errors, later ops may compute garbage
+    # there but never change its status, and the output lane is forced to
+    # NaN at the end. That matches the scalar reference, which breaks out at
+    # the first error.
     n = xs.shape[0]
     status = np.zeros(n, np.int8)
     stack = np.empty((need, n))
@@ -204,14 +209,8 @@ def _tape_eval_numpy(code, cval, need, xs):
                     status[(b == 0.0) & ok] = ERR_DIV_ZERO
                     r = a / b
                 else:
-                    neg = a < 0.0
-                    nb = np.rint(b)
-                    isint = np.abs(b - nb) <= INT_REL_TOL * np.maximum(np.abs(b), 1.0)
-                    bad = ((neg & ~isint) | ((a == 0.0) & (b < 0.0))) & ok
-                    status[bad] = ERR_POW_DOMAIN
-                    r = np.abs(a) ** b
-                    odd = np.fmod(np.abs(nb), 2.0) == 1.0
-                    r = np.where(neg & odd, -r, r)
+                    r, bad = pow_vector(a, b)
+                    status[bad & ok] = ERR_POW_DOMAIN
                 stack[sp - 1] = r
             else:
                 a = stack[sp - 1]
@@ -222,7 +221,6 @@ def _tape_eval_numpy(code, cval, need, xs):
                 elif op == OP_TAN:
                     r = np.tan(a)
                 elif op == OP_EXP:
-                    status[(a > EXP_MAX) & ok] = ERR_OVERFLOW
                     r = np.exp(a)
                 elif op == OP_LOG:
                     status[(a <= 0.0) & ok] = ERR_LOG_DOMAIN
@@ -239,53 +237,3 @@ def _tape_eval_numpy(code, cval, need, xs):
     out = stack[0].copy()
     out[status != OK] = np.nan
     return out, status
-
-
-_IMPLS = {"numpy": _tape_eval_numpy}
-
-try:
-    from numba import njit
-
-    _tape_eval_numba = njit(cache=True)(_tape_eval_core)
-    _IMPLS["numba"] = _tape_eval_numba
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-def _initial_backend() -> str:
-    v = os.environ.get(_ENV_VAR, "auto").strip().lower()
-    if v in ("0", "off", "false", "no", "numpy"):
-        return "numpy"
-    if v in ("1", "on", "true", "yes", "require", "numba"):
-        if "numba" not in _IMPLS:
-            raise ImportError(
-                f"{_ENV_VAR}={v!r} requires numba, which is not importable")
-        return "numba"
-    return "numba" if "numba" in _IMPLS else "numpy"
-
-
-_active = _initial_backend()
-
-
-def get_backend() -> str:
-    """Name of the active kernel implementation, "numba" or "numpy"."""
-    return _active
-
-
-def set_backend(name: str) -> None:
-    """Switch the kernel implementation at runtime."""
-    global _active
-    if name not in _IMPLS:
-        raise ValueError(
-            f"unknown backend {name!r}; available: {sorted(_IMPLS)}")
-    _active = name
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_IMPLS))
-
-
-def tape_eval(code, cval, need, xs):
-    """Run the compiled tape over ``xs``; returns (values, statuses)."""
-    return _IMPLS[_active](code, cval, need, xs)

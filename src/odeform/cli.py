@@ -27,13 +27,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .errors import ExprSyntaxError, OdeformError
 from .expr import parse as parse_expr
 from .quad import QuadratureConfig
-from .solvers import EquationClass, EquationSpec, InitialCondition
-from .verify import _construct, full_verify, rk_reference
+from .solvers import EquationClass, EquationSpec, InitialCondition, construct
+from .verify import full_verify, rk_reference
 
 __all__ = ["main", "run"]
 
@@ -43,6 +44,13 @@ class UsageError(OdeformError):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Take "-2e-05" after a space as a negative number, not an option;
+        # stock argparse only knows "-2" and "-0.5".
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+
     # argparse exits with status 2 on bad usage; route through UsageError so
     # run() can keep 2 reserved for domain/convergence failures.
     def error(self, message):
@@ -280,7 +288,7 @@ def _execute(ns) -> tuple[str, int]:
     lo, hi = ns.xrange
     if ns.command == "solve":
         cfg = _make_cfg(ns)
-        sol = _construct(spec, ic, cfg)
+        sol = construct(spec, ic, cfg)
         xs, ys = sol.sample(lo, hi, ns.samples)
         return _document_solve(ns, sol, xs, ys), 0
     if ns.command == "verify":

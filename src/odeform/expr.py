@@ -29,12 +29,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _backend
 from ._backend import (ERR_DIV_ZERO, ERR_LOG_DOMAIN, ERR_OVERFLOW,
                        ERR_POW_DOMAIN, ERR_SQRT_DOMAIN, OP_ABS, OP_ADD,
                        OP_ATAN, OP_CONST, OP_COS, OP_DIV, OP_EXP, OP_LOG,
                        OP_MUL, OP_NEG, OP_POW, OP_SIN, OP_SQRT, OP_SUB,
-                       OP_TAN, OP_X)
+                       OP_TAN, OP_X, tape_eval)
 from .errors import EvalDomainError, EvalOverflowError, ExprSyntaxError
 
 __all__ = ["Expression", "parse"]
@@ -282,8 +281,7 @@ class Expression:
             raise ValueError("expected a 1-D array of points")
         if xs.size and not np.all(np.isfinite(xs)):
             raise ValueError("evaluation points must be finite")
-        out, status = _backend.tape_eval(self._code, self._cval, self._need,
-                                         xs)
+        out, status = tape_eval(self._code, self._cval, self._need, xs)
         if status.any():
             i = int(np.argmax(status > 0))
             self._raise(int(status[i]), float(xs[i]))

@@ -16,9 +16,10 @@ exponential class.
 A ClosedFormSolution evaluates lazily and tracks the maximal interval
 around x0 on which its formula stays defined (power bases positive, log
 arguments positive, exponentials within double range). Probing happens on
-demand: querying or sampling a window walks a probe grid, and the first
-failing probe brackets a boundary that bisection then locates to within
-1e-10. Constructors perform no integration themselves and are cheap.
+demand: querying or sampling a window evaluates a probe grid in batches,
+and the first failing probe brackets a boundary that bisection then
+locates to within 1e-10. Constructors perform no integration themselves
+and are cheap.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import threading
 
 import numpy as np
 
-from ._backend import EXP_MAX, INT_REL_TOL
+from ._backend import EXP_MAX, is_integer_valued, pow_scalar
 from .errors import (ConvergenceError, EvalDomainError, EvalError,
                      EvalOverflowError, NoOverlapError, OutsideValidityError,
                      ParameterError)
@@ -44,6 +45,7 @@ __all__ = [
     "Interval",
     "ClosedFormSolution",
     "signed_power",
+    "construct",
     "solve_linear_ivp",
     "solve_linear_general",
     "solve_bernoulli",
@@ -140,10 +142,6 @@ def _check_beta(beta):
         raise ParameterError("beta must be finite and nonzero")
 
 
-def is_integer_valued(v: float) -> bool:
-    return abs(v - round(v)) <= INT_REL_TOL * max(1.0, abs(v))
-
-
 def signed_power(base: float, expo: float) -> float:
     """Real-valued base**expo with the package-wide power semantics.
 
@@ -151,46 +149,12 @@ def signed_power(base: float, expo: float) -> float:
     are only accepted for (numerically) integer exponents, with the sign
     following the exponent's parity.
     """
-    if base > 0.0:
-        return base ** expo
-    if base == 0.0:
-        if expo > 0.0:
-            return 0.0
-        if expo == 0.0:
-            return 1.0
-        raise EvalDomainError("zero base with a negative exponent", base)
-    if not is_integer_valued(expo):
+    r = pow_scalar(base, expo)
+    if r is None:
         raise EvalDomainError(
+            "zero base with a negative exponent" if base == 0.0 else
             "negative base with a non-integer exponent", base)
-    r = (-base) ** expo
-    return -r if math.fmod(abs(round(expo)), 2.0) == 1.0 else r
-
-
-def signed_power_many(base: np.ndarray, expo: float) -> np.ndarray:
-    """Vectorized signed_power; raises at the first invalid element."""
-    base = np.asarray(base, dtype=np.float64)
-    out = np.empty_like(base)
-    pos = base > 0.0
-    out[pos] = base[pos] ** expo
-    zero = base == 0.0
-    if zero.any():
-        if expo > 0.0:
-            out[zero] = 0.0
-        elif expo == 0.0:
-            out[zero] = 1.0
-        else:
-            raise EvalDomainError("zero base with a negative exponent", 0.0)
-    neg = base < 0.0
-    if neg.any():
-        if not is_integer_valued(expo):
-            raise EvalDomainError(
-                "negative base with a non-integer exponent",
-                float(base[np.argmax(neg)]))
-        r = (-base[neg]) ** expo
-        if math.fmod(abs(round(expo)), 2.0) == 1.0:
-            r = -r
-        out[neg] = r
-    return out
+    return r
 
 
 def _checked_exp(z: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -234,18 +198,20 @@ class ClosedFormSolution:
     ``constants`` holds the free constants of the family as named floats.
     ``provenance`` is a one-line description of the instantiated formula.
     ``non_unique`` marks solutions known to share initial data with others
-    (the zero bernoulli solution for alpha in (0, 1)).
+    (the zero bernoulli solution for alpha in (0, 1)). ``case`` names the
+    second-order basis ("real", "repeated" or "complex"), else None.
     """
 
     def __init__(self, kind: EquationClass, evaluate, x0: float,
                  constants: dict[str, float], provenance: str,
-                 non_unique: bool = False):
+                 non_unique: bool = False, case: str | None = None):
         self.kind = kind
         self._evaluate = evaluate
         self.x0 = float(x0)
         self.constants = dict(constants)
         self.provenance = provenance
         self.non_unique = non_unique
+        self.case = case
         self._lo = -math.inf
         self._hi = math.inf
         self._probed_lo = self.x0
@@ -262,13 +228,16 @@ class ClosedFormSolution:
         """What stopped the formula at the nearest located boundary."""
         return self._limit_note
 
-    def _ok(self, x: float) -> bool:
+    def _ok(self, xs, note: bool = True) -> bool:
+        """Whether the formula is finite at ``xs``, a point or an array;
+        with ``note``, a failure's message becomes the limit note."""
         try:
-            v = self._evaluate(np.array([x], dtype=np.float64))
+            v = self._evaluate(np.atleast_1d(np.asarray(xs, dtype=np.float64)))
         except (EvalError, ConvergenceError) as e:
-            self._limit_note = str(e)
+            if note:
+                self._limit_note = str(e)
             return False
-        return bool(np.isfinite(v[0]))
+        return bool(np.all(np.isfinite(v)))
 
     def _bisect_boundary(self, good: float, bad: float) -> float:
         while abs(bad - good) > _BOUNDARY_WIDTH:
@@ -281,45 +250,35 @@ class ClosedFormSolution:
                 bad = mid
         return 0.5 * (good + bad)
 
-    def _explore_up(self, hi: float):
-        start = self._probed_hi
-        pts = np.linspace(start, hi, _PROBES)
-        try:
-            vals = self._evaluate(pts)
-            if np.all(np.isfinite(vals)):
-                self._probed_hi = hi
-                return
-        except (EvalError, ConvergenceError):
-            pass
-        good = start
-        for p in pts[1:]:
-            if self._ok(float(p)):
-                good = float(p)
-            else:
-                self._hi = self._bisect_boundary(good, float(p))
-                self._probed_hi = self._hi
-                return
-        self._probed_hi = hi
-
-    def _explore_down(self, lo: float):
-        start = self._probed_lo
-        pts = np.linspace(start, lo, _PROBES)
-        try:
-            vals = self._evaluate(pts)
-            if np.all(np.isfinite(vals)):
-                self._probed_lo = lo
-                return
-        except (EvalError, ConvergenceError):
-            pass
-        good = start
-        for p in pts[1:]:
-            if self._ok(float(p)):
-                good = float(p)
-            else:
-                self._lo = self._bisect_boundary(good, float(p))
-                self._probed_lo = self._lo
-                return
-        self._probed_lo = lo
+    def _explore(self, target: float):
+        """Probe from the probed end on target's side of x0 out to target."""
+        up = target > self.x0
+        pts = np.linspace(self._probed_hi if up else self._probed_lo,
+                          target, _PROBES)
+        end = target
+        if not self._ok(pts, note=False):
+            # pts[0] is known good. Bisect over batches for the first failing
+            # probe, keeping pts[:good] passing and pts[:bad] failing, so
+            # each round evaluates only pts[good:mid]. A probe that fails
+            # only as part of a batch is no boundary.
+            good, bad = 1, _PROBES
+            while bad - good > 1:
+                mid = (good + bad) // 2
+                if self._ok(pts[good:mid], note=False):
+                    good = mid
+                else:
+                    bad = mid
+            if not self._ok(float(pts[good])):
+                end = self._bisect_boundary(float(pts[good - 1]),
+                                            float(pts[good]))
+                if up:
+                    self._hi = end
+                else:
+                    self._lo = end
+        if up:
+            self._probed_hi = end
+        else:
+            self._probed_lo = end
 
     def ensure_validity(self, lo: float, hi: float):
         """Probe the window [lo, hi] and refine the validity interval.
@@ -332,10 +291,10 @@ class ClosedFormSolution:
         with self._lock:
             up = min(max(hi, self.x0), self._hi)
             if up > self._probed_hi:
-                self._explore_up(up)
+                self._explore(up)
             down = max(min(lo, self.x0), self._lo)
             if down < self._probed_lo:
-                self._explore_down(down)
+                self._explore(down)
 
     def values(self, xs) -> np.ndarray:
         """Evaluate at a 1-D array of points inside the validity interval."""
@@ -391,7 +350,7 @@ class ClosedFormSolution:
         twin = ClosedFormSolution(
             self.kind, lambda xs: inner(xs) + eps, self.x0,
             self.constants, self.provenance + f" (offset by {eps!r})",
-            self.non_unique)
+            self.non_unique, self.case)
         twin._lo, twin._hi = self._lo, self._hi
         twin._probed_lo, twin._probed_hi = self._probed_lo, self._probed_hi
         return twin
@@ -573,78 +532,82 @@ def solve_second_order(b: float, c: float, C1: float, C2: float,
                        x0: float = 0.0) -> ClosedFormSolution:
     """General solution of y'' + b y' + c y = 0 with explicit constants.
 
-    Three cases on the discriminant b^2 - 4c (threshold 1e-12 scaled by
-    max(1, b^2, |4c|)):
+    The basis is written in t = x - x0. Three cases on the discriminant
+    b^2 - 4c (threshold 1e-12 scaled by max(1, b^2, |4c|)):
 
-    * positive: C1 e^(r1 x) + C2 e^(r2 x), r1 < r2 the two real roots
+    * positive: C1 e^(r1 t) + C2 e^(r2 t), r1 < r2 the two real roots
       (C1 belongs to the smaller root -b/2 - sqrt(disc)/2);
-    * zero: (C1 + C2 x) e^(-b x / 2);
-    * negative: e^(-b x / 2) (C1 cos(w x) + C2 sin(w x)),
+    * zero: (C1 + C2 t) e^(-b t / 2);
+    * negative: e^(-b t / 2) (C1 cos(w t) + C2 sin(w t)),
       w = sqrt(4c - b^2)/2.
     """
-    for name, v in (("b", b), ("c", c), ("C1", C1), ("C2", C2)):
+    for name, v in (("b", b), ("c", c), ("C1", C1), ("C2", C2), ("x0", x0)):
         if not (isinstance(v, (int, float)) and math.isfinite(v)):
             raise ParameterError(f"{name} must be a finite number")
     case, r1, r2 = _classify_roots(b, c)
+    x0 = float(x0)
 
-    def exp_term(coef: float, rate: float, xs: np.ndarray) -> np.ndarray:
+    def exp_term(coef: float, rate: float, ts: np.ndarray,
+                 xs: np.ndarray) -> np.ndarray:
         if coef == 0.0:
-            return np.zeros(xs.shape)
-        return coef * _checked_exp(rate * xs, xs)
+            return np.zeros(ts.shape)
+        return coef * _checked_exp(rate * ts, xs)
 
     if case == "real":
         def evaluate(xs: np.ndarray) -> np.ndarray:
+            ts = xs - x0
             return _finite_or_overflow(
-                exp_term(C1, r1, xs) + exp_term(C2, r2, xs), xs)
+                exp_term(C1, r1, ts, xs) + exp_term(C2, r2, ts, xs), xs)
         note = (f"two distinct real rates {r1!r} and {r2!r}; C1 multiplies "
                 "the smaller rate")
     elif case == "repeated":
         def evaluate(xs: np.ndarray) -> np.ndarray:
+            ts = xs - x0
             return _finite_or_overflow(
-                (C1 + C2 * xs) * _checked_exp(r1 * xs, xs), xs)
+                (C1 + C2 * ts) * _checked_exp(r1 * ts, xs), xs)
         note = f"repeated real rate {r1!r} with a linear-in-x factor"
     else:
         def evaluate(xs: np.ndarray) -> np.ndarray:
-            osc = C1 * np.cos(r2 * xs) + C2 * np.sin(r2 * xs)
-            return _finite_or_overflow(_checked_exp(r1 * xs, xs) * osc, xs)
+            ts = xs - x0
+            osc = C1 * np.cos(r2 * ts) + C2 * np.sin(r2 * ts)
+            return _finite_or_overflow(_checked_exp(r1 * ts, xs) * osc, xs)
         note = f"damped oscillation, rate {r1!r}, angular frequency {r2!r}"
 
-    sol = ClosedFormSolution(
+    return ClosedFormSolution(
         EquationClass.SECOND_ORDER, evaluate, x0,
         {"C1": float(C1), "C2": float(C2)},
-        f"constant-coefficient second-order basis: {note}")
-    sol.case = case
-    return sol
+        f"constant-coefficient second-order basis: {note}",
+        case=case)
 
 
 def solve_second_order_ivp(b: float, c: float,
                            ic: InitialCondition) -> ClosedFormSolution:
     """Solve y'' + b y' + c y = 0 with y(x0) = y0 and y'(x0) = yp0.
 
-    Solves the 2x2 system for (C1, C2) against the case basis at x0; the
-    basis Wronskian never vanishes, so the system is always solvable.
+    The basis of solve_second_order is anchored at x0, so the constants
+    follow from (y0, yp0) in closed form and never scale with e^(r x0).
     """
     if ic.yp0 is None:
         raise ParameterError("second-order initial data needs yp0")
     case, r1, r2 = _classify_roots(b, c)
-    x0, y0, yp0 = ic.x0, ic.y0, ic.yp0
-
+    y0, yp0 = ic.y0, ic.yp0
     if case == "real":
-        e1 = math.exp(r1 * x0)
-        e2 = math.exp(r2 * x0)
-        a11, a12, a21, a22 = e1, e2, r1 * e1, r2 * e2
+        C1 = (y0 * r2 - yp0) / (r2 - r1)
+        C2 = (yp0 - r1 * y0) / (r2 - r1)
     elif case == "repeated":
-        e = math.exp(r1 * x0)
-        a11, a12, a21, a22 = e, x0 * e, r1 * e, e * (1.0 + r1 * x0)
+        C1, C2 = y0, yp0 - r1 * y0
     else:
-        e = math.exp(r1 * x0)
-        cw = math.cos(r2 * x0)
-        sw = math.sin(r2 * x0)
-        a11, a12 = e * cw, e * sw
-        a21 = e * (r1 * cw - r2 * sw)
-        a22 = e * (r1 * sw + r2 * cw)
+        C1, C2 = y0, (yp0 - r1 * y0) / r2
+    return solve_second_order(b, c, C1, C2, x0=ic.x0)
 
-    det = a11 * a22 - a12 * a21
-    C1 = (y0 * a22 - yp0 * a12) / det
-    C2 = (a11 * yp0 - a21 * y0) / det
-    return solve_second_order(b, c, C1, C2, x0=x0)
+
+def construct(spec: EquationSpec, ic: InitialCondition,
+              cfg: QuadratureConfig | None = None) -> ClosedFormSolution:
+    """Closed-form solution of the initial-value problem ``spec``, ``ic``."""
+    if spec.kind == EquationClass.LINEAR:
+        return solve_linear_ivp(spec.f, spec.g, ic, cfg)
+    if spec.kind == EquationClass.BERNOULLI:
+        return solve_bernoulli(spec.f, spec.g, float(spec.alpha), ic, cfg)
+    if spec.kind == EquationClass.EXP:
+        return solve_exp(spec.f, spec.g, float(spec.beta), ic, cfg)
+    return solve_second_order_ivp(float(spec.b), float(spec.c), ic)

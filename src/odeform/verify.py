@@ -31,14 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConvergenceError, EvalError, InconclusiveError,
+from .errors import (EvalDomainError, EvalError, InconclusiveError,
                      NoOverlapError, OdeformError, ParameterError, StageError)
 from .quad import QuadratureConfig, as_array_fn
 from .solvers import (ClosedFormSolution, EquationClass, EquationSpec,
-                      InitialCondition, signed_power_many, solve_bernoulli,
-                      solve_bernoulli_via_linear, solve_exp, solve_linear_ivp,
-                      solve_second_order_ivp)
-from ._backend import EXP_MAX
+                      InitialCondition, construct, signed_power,
+                      solve_bernoulli_via_linear)
+from ._backend import EXP_MAX, pow_vector
 
 __all__ = [
     "CheckResult",
@@ -157,7 +156,7 @@ def _deriv_fn(spec: EquationSpec):
         alpha = float(spec.alpha)
 
         def deriv(x, y):
-            ya = signed_power_many(np.array([y[0]]), alpha)[0]
+            ya = signed_power(y[0], alpha)
             return np.array([g1(x) * ya - f1(x) * y[0]])
     else:
         beta = float(spec.beta)
@@ -369,7 +368,10 @@ def residual_check(spec: EquationSpec, sol: ClosedFormSolution,
     elif spec.kind == EquationClass.BERNOULLI:
         fv = as_array_fn(spec.f)(xs)
         gv = as_array_fn(spec.g)(xs)
-        ya = signed_power_many(y0, float(spec.alpha))
+        ya, bad = pow_vector(y0, float(spec.alpha))
+        if bad.any():
+            raise EvalDomainError("y^alpha has no real value in the residual",
+                                  float(xs[int(np.argmax(bad))]))
         terms = (d1, fv * y0, gv * ya)
         residual = d1 + fv * y0 - gv * ya
     else:
@@ -437,17 +439,6 @@ def riccati_check(b: float, c: float, sol: ClosedFormSolution,
                        f"{n - kept} points excluded near zeros of y")
 
 
-def _construct(spec: EquationSpec, ic: InitialCondition,
-               cfg: QuadratureConfig | None) -> ClosedFormSolution:
-    if spec.kind == EquationClass.LINEAR:
-        return solve_linear_ivp(spec.f, spec.g, ic, cfg)
-    if spec.kind == EquationClass.BERNOULLI:
-        return solve_bernoulli(spec.f, spec.g, float(spec.alpha), ic, cfg)
-    if spec.kind == EquationClass.EXP:
-        return solve_exp(spec.f, spec.g, float(spec.beta), ic, cfg)
-    return solve_second_order_ivp(float(spec.b), float(spec.c), ic)
-
-
 def full_verify(spec: EquationSpec, ic: InitialCondition,
                 xrange: tuple[float, float],
                 cfg: QuadratureConfig | None = None, *,
@@ -468,7 +459,7 @@ def full_verify(spec: EquationSpec, ic: InitialCondition,
         raise ParameterError("x0 must lie inside the range")
 
     try:
-        sol = _construct(spec, ic, cfg)
+        sol = construct(spec, ic, cfg)
     except OdeformError as e:
         raise StageError("constructor", e)
 

@@ -1,18 +1,5 @@
 import math
 
-import pytest
-
-from odeform import _backend
-
-
-@pytest.fixture(params=_backend.available_backends())
-def each_backend(request):
-    """Run the decorated test once per kernel implementation."""
-    saved = _backend.get_backend()
-    _backend.set_backend(request.param)
-    yield request.param
-    _backend.set_backend(saved)
-
 
 def assert_ulps(actual: float, expected: float, ulps: int = 4):
     if math.isnan(expected):

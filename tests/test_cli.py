@@ -176,6 +176,32 @@ def test_negative_range_bound_equals_form():
     assert abs(rows[0][1] + 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("flag", ["--y0", "--yp0", "--alpha"])
+def test_negative_exponent_form_after_a_space(flag):
+    argv = {
+        "--y0": ["solve", "--class", "linear", "--f", "1", "--g", "0",
+                 "--x0", "0", "--range", "0:1", "--samples", "3"],
+        "--yp0": ["solve", "--class", "second-order", "--b", "0",
+                  "--c", "1", "--x0", "0", "--y0", "1", "--range", "0:1",
+                  "--samples", "3"],
+        "--alpha": ["solve", "--class", "bernoulli", "--f", "1", "--g", "1",
+                    "--x0", "0", "--y0", "0.5", "--range", "0:1",
+                    "--samples", "3"],
+    }[flag]
+    code, out, err = invoke(argv + [flag, "-2e-05"])
+    assert (code, err) == (0, "")
+    assert invoke(argv + [f"{flag}=-2e-05"]) == (code, out, err)
+
+
+def test_second_order_far_from_origin_solves_cleanly():
+    code, out, err = invoke([
+        "solve", "--class", "second-order", "--b", "-2", "--c", "0",
+        "--x0", "1000", "--y0", "1", "--yp0", "0", "--range", "999:1001",
+    ])
+    assert (code, err) == (0, "")
+    assert [y for _, y in csv_rows(out)] == [1.0] * 201
+
+
 def test_tolerance_flags_accepted():
     code, _, err = invoke(INV_SOLVE_LINEAR + ["--abs-tol", "1e-8",
                                               "--rel-tol", "1e-8"])

@@ -1,4 +1,4 @@
-"""Tests for the expression parser and the two evaluation kernels."""
+"""Tests for the expression parser, the tape kernel and the power rule."""
 
 import concurrent.futures
 import math
@@ -14,9 +14,13 @@ from odeform import (
     ExprSyntaxError,
     parse,
 )
-from odeform._backend import _IMPLS, _tape_eval_core
+from odeform._backend import (_tape_eval_core, pow_scalar, pow_vector,
+                              tape_eval)
 
 from conftest import assert_ulps
+
+# A single-valued kernel parameter keeps the "[numpy-...]" test ids stable.
+numpy_kernel = pytest.mark.parametrize("kernel", ["numpy"])
 
 # Each entry: (source text, evaluation point, directly computed reference).
 # The references are evaluated with plain Python floating point, so agreement
@@ -70,7 +74,8 @@ def test_corpus_size():
 
 
 @pytest.mark.parametrize("text,x,expected", CORPUS)
-def test_corpus_values(each_backend, text, x, expected):
+@numpy_kernel
+def test_corpus_values(kernel, text, x, expected):
     expr = parse(text)
     assert_ulps(expr.eval(x), expected, ulps=4)
     # Array evaluation must agree with scalar evaluation.
@@ -157,7 +162,8 @@ def test_number_literal_overflow_rejected():
         ("x^x", 1e300, EvalOverflowError),
     ],
 )
-def test_evaluation_errors(each_backend, text, x, exc):
+@numpy_kernel
+def test_evaluation_errors(kernel, text, x, exc):
     expr = parse(text)
     with pytest.raises(exc) as info:
         expr.eval(x)
@@ -165,14 +171,16 @@ def test_evaluation_errors(each_backend, text, x, exc):
     assert isinstance(info.value, EvalError)
 
 
-def test_eval_many_reports_first_failing_point(each_backend):
+@numpy_kernel
+def test_eval_many_reports_first_failing_point(kernel):
     expr = parse("log(x)")
     with pytest.raises(EvalDomainError) as info:
         expr.eval_many(np.array([1.0, 2.0, -3.0, -4.0]))
     assert info.value.x == -3.0
 
 
-def test_negative_base_integer_power(each_backend):
+@numpy_kernel
+def test_negative_base_integer_power(kernel):
     expr = parse("x^3")
     assert expr.eval(-2.0) == -8.0
     assert parse("x^2").eval(-2.0) == 4.0
@@ -183,7 +191,8 @@ def test_negative_base_integer_power(each_backend):
         parse("x^2.000000001").eval(-2.0)
 
 
-def test_zero_base_powers(each_backend):
+@numpy_kernel
+def test_zero_base_powers(kernel):
     assert parse("x^2").eval(0.0) == 0.0
     assert parse("x^0").eval(0.0) == 1.0
     with pytest.raises(EvalDomainError):
@@ -217,7 +226,8 @@ def _random_tree(rng: random.Random, depth: int) -> str:
     return f"({left}){op}({right})"
 
 
-def test_totality_on_random_trees(each_backend):
+@numpy_kernel
+def test_totality_on_random_trees(kernel):
     """Random expressions either produce finite values or raise a typed error."""
     rng = random.Random(20260814)
     trees = [_random_tree(rng, rng.randrange(1, 7)) for _ in range(60)]
@@ -232,8 +242,8 @@ def test_totality_on_random_trees(each_backend):
             assert math.isfinite(value), (text, x, value)
 
 
-def _assert_matches_scalar_core(kernel):
-    """``kernel`` agrees with the plain-Python scalar interpreter on statuses
+def test_backend_parity_values_and_statuses():
+    """The numpy kernel matches the scalar reference interpreter on statuses
     and (to 4 ulp) on values, over random trees and the corpus."""
     rng = random.Random(911)
     trees = [_random_tree(rng, rng.randrange(1, 7)) for _ in range(40)]
@@ -243,22 +253,33 @@ def _assert_matches_scalar_core(kernel):
         expr = parse(text)
         args = (expr._code, expr._cval, expr._need, xs)
         r_ref, s_ref = _tape_eval_core(*args)
-        r, s = kernel(*args)
+        r, s = tape_eval(*args)
         assert np.array_equal(s, s_ref), text
         ok = s_ref == 0
         for a, b in zip(r[ok], r_ref[ok]):
             assert_ulps(float(a), float(b), ulps=4)
 
 
-def test_backend_parity_values_and_statuses():
-    """The numpy kernel matches the uncompiled scalar reference interpreter."""
-    _assert_matches_scalar_core(_IMPLS["numpy"])
-
-
-def test_numba_kernel_matches_scalar_core():
-    """The numba-jitted kernel matches the uncompiled scalar interpreter."""
-    pytest.importorskip("numba")
-    _assert_matches_scalar_core(_IMPLS["numba"])
+def test_power_rules_agree():
+    """pow_vector and pow_scalar agree on validity and (to 4 ulp) on values,
+    over bases and exponents around every special case."""
+    bases = [-3.0, -2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 7.25]
+    expos = [-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 2.5,
+             2.0000000000000004, 2.000000001, -3.0000000000000004, 1e300]
+    a = np.array([p for p in bases for _ in expos])
+    b = np.array([q for _ in bases for q in expos])
+    with np.errstate(all="ignore"):
+        vals, bad = pow_vector(a, b)
+        # numpy scalars, as in the reference interpreter: overflow gives inf
+        refs = [pow_scalar(x, e) for x, e in zip(a, b)]
+    for x, e, v, is_bad, ref in zip(a, b, vals, bad, refs):
+        assert is_bad == (ref is None), (x, e)
+        if ref is None:
+            continue
+        if math.isfinite(ref):
+            assert_ulps(float(v), float(ref), ulps=4)
+        else:
+            assert v == ref, (x, e)
 
 
 def test_thread_safety_of_shared_expression():

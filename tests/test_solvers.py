@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from odeform import (
+    ClosedFormSolution,
     EquationClass,
     EquationSpec,
+    EvalDomainError,
     EvalOverflowError,
     InitialCondition,
     NoOverlapError,
     OutsideValidityError,
     ParameterError,
+    construct,
     parse,
     solve_bernoulli,
     solve_bernoulli_via_linear,
@@ -211,6 +214,18 @@ def test_exp_parameter_validation():
         solve_exp(parse("1"), parse("0"), 1.0, ic(0.0, -800.0))
 
 
+def test_failure_seen_only_in_a_batch_is_no_boundary():
+    def evaluate(xs):
+        if xs.size > 1 and xs.max() > 0.5:
+            raise EvalDomainError("fails only in a batch", float(xs.max()))
+        return np.ones(xs.shape)
+
+    sol = ClosedFormSolution(EquationClass.LINEAR, evaluate, 0.0, {}, "")
+    sol.ensure_validity(-1.0, 1.0)
+    assert (sol.validity.lo, sol.validity.hi) == (-math.inf, math.inf)
+    assert sol.limit_note is None
+
+
 # ---------------------------------------------------------------------------
 # Second order, constant coefficients
 
@@ -273,6 +288,52 @@ def test_second_order_case_threshold():
     assert solve_second_order(2.0, 1.1, 1.0, 0.0).case == "complex"
     assert solve_second_order(2.0, 0.9, 1.0, 0.0).case == "real"
     assert solve_second_order(0.0, -1.0, 1.0, 1.0).case == "real"
+
+
+def test_second_order_ivp_far_from_origin():
+    # The basis is anchored at x0, so e^(r x0) never enters the constants.
+    sol = solve_second_order_ivp(-2.0, 5.0, ic(400.0, 1.0, 0.0))
+    assert sol.constants == {"C1": 1.0, "C2": -0.5}
+    exact = math.exp(0.5) * (math.cos(1.0) - 0.5 * math.sin(1.0))
+    assert abs(sol.value(400.5) - exact) <= 1e-12
+    # e^(2 x0) overflows at x0 = 1000; anchored, y stays 1 near x0
+    sol = solve_second_order_ivp(-2.0, 0.0, ic(1000.0, 1.0, 0.0))
+    assert np.array_equal(sol.values(np.array([999.0, 1001.0])), [1.0, 1.0])
+
+
+def test_second_order_ivp_matches_initial_data_in_every_case():
+    for b, c in [(-3.0, 2.0), (2.0, 1.0), (0.5, 4.0)]:
+        sol = solve_second_order_ivp(b, c, ic(-7.5, 0.8, -0.3))
+        h = 1e-5
+        ym, y0, yp = sol.values(np.array([-7.5 - h, -7.5, -7.5 + h]))
+        assert abs(y0 - 0.8) <= 1e-15, sol.case
+        assert abs((yp - ym) / (2 * h) + 0.3) <= 1e-8, sol.case
+
+
+def test_case_is_set_at_construction_and_kept_by_perturbed():
+    sol = solve_second_order_ivp(2.0, 5.0, ic(0.0, 1.0, 0.0))
+    assert sol.case == "complex"
+    assert sol.perturbed(1e-3).case == "complex"
+    assert solve_linear_ivp(parse("1"), parse("0"), ic(0.0, 1.0)).case is None
+
+
+def test_construct_dispatches_on_the_class():
+    f, g = parse("1"), parse("x")
+    xs = np.linspace(0.0, 0.5, 5)
+    pairs = [
+        (EquationSpec.linear(f, g), ic(0.0, 1.0),
+         solve_linear_ivp(f, g, ic(0.0, 1.0))),
+        (EquationSpec.bernoulli(f, g, 2.0), ic(0.0, 0.5),
+         solve_bernoulli(f, g, 2.0, ic(0.0, 0.5))),
+        (EquationSpec.exp_class(f, g, 1.0), ic(0.0, 0.0),
+         solve_exp(f, g, 1.0, ic(0.0, 0.0))),
+        (EquationSpec.second_order(1.0, 2.0), ic(0.0, 1.0, 0.0),
+         solve_second_order_ivp(1.0, 2.0, ic(0.0, 1.0, 0.0))),
+    ]
+    for spec, initial, direct in pairs:
+        sol = construct(spec, initial)
+        assert sol.kind == spec.kind
+        assert np.array_equal(sol.values(xs), direct.values(xs))
 
 
 def test_second_order_case_boundary_continuity():
