@@ -152,6 +152,11 @@ def _make_spec(ns) -> tuple[EquationSpec, InitialCondition]:
         raise UsageError("--x0 must lie inside --range")
     if ns.samples < 2:
         raise UsageError("--samples must be at least 2")
+    for name in ("abs_tol", "rel_tol", "check_tol", "oracle_tol"):
+        v = getattr(ns, name, None)
+        if v is not None and not (math.isfinite(v) and 0.0 < v < 1.0):
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} must be finite and in (0, 1), got {v!r}")
 
     kind = EquationClass(ns.klass)
     if kind == EquationClass.SECOND_ORDER:

@@ -147,13 +147,19 @@ def signed_power(base: float, expo: float) -> float:
 
     Positive bases behave as usual, 0**positive is 0, and negative bases
     are only accepted for (numerically) integer exponents, with the sign
-    following the exponent's parity.
+    following the exponent's parity. A result outside double range raises
+    EvalOverflowError.
     """
-    r = pow_scalar(base, expo)
+    try:
+        r = pow_scalar(base, expo)
+    except OverflowError:
+        r = math.inf
     if r is None:
         raise EvalDomainError(
             "zero base with a negative exponent" if base == 0.0 else
             "negative base with a non-integer exponent", base)
+    if not math.isfinite(r):
+        raise EvalOverflowError("power outside double range", base)
     return r
 
 

@@ -3,9 +3,11 @@
 Four checks, all deterministic:
 
 * rk_reference / compare -- integrate the same initial-value problem with
-  an embedded Dormand-Prince 5(4) pair (adaptive step, dense output at the
-  requested grid) and compare pointwise with relative normalization
-  |sol - oracle| / (1 + |oracle|).
+  an embedded Dormand-Prince 5(4) pair and compare pointwise with relative
+  normalization |sol - oracle| / (1 + |oracle|). The steps follow the
+  tolerance alone; values at the requested grid come from the pair's
+  continuous extension (Shampine 1986), so the step count does not depend
+  on the grid.
 * residual_check -- differentiate the closed form with centered finite
   differences (h = 1e-5 first order; 3-point second difference with
   h = 1e-4 for second order) and push it through the equation. The
@@ -26,13 +28,15 @@ overall flag is the conjunction of the individual ones.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
-from .errors import (EvalDomainError, EvalError, InconclusiveError,
-                     NoOverlapError, OdeformError, ParameterError, StageError)
+from .errors import (EvalDomainError, InconclusiveError, NoOverlapError,
+                     OdeformError, ParameterError, StageError)
 from .quad import QuadratureConfig, as_array_fn
 from .solvers import (ClosedFormSolution, EquationClass, EquationSpec,
                       InitialCondition, construct, signed_power,
@@ -73,11 +77,27 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-                   11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_E = _DP_B5 - _DP_B4
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+         22 / 525, -1 / 40)   # 5th- minus 4th-order weights
+# Shampine's continuous extension of the pair (the coefficients scipy's RK45
+# uses): y(x + th) = y + h * sum_i k_i * sum_j P[i][j] * th**(j + 1).
+_DP_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423,
+     69997945 / 29380423),
+)
+_DP_PT = tuple(zip(*_DP_P))   # by power of th
+_STAGE_C = np.array(_DP_C[1:])   # abscissae of the stages after the first
 
 
 @dataclass
@@ -128,121 +148,126 @@ class VerificationReport:
         }
 
 
-def _scalar_fn(f):
-    fn = as_array_fn(f)
+def _stage_fns(spec: EquationSpec):
+    """The right-hand side on Python floats, as (coefs, rhs).
 
-    def call(x: float) -> float:
-        return float(fn(np.array([x], dtype=np.float64))[0])
-
-    return call
-
-
-def _deriv_fn(spec: EquationSpec):
+    The state is a sequence: [y] for first order, [y, y'] for second.
+    ``coefs(xs)`` evaluates the coefficients at an array of abscissae in one
+    call per coefficient and returns one (f, g) pair per point;
+    ``rhs(fg, y)`` is the derivative given the pair at the stage's x.
+    """
     if spec.kind == EquationClass.SECOND_ORDER:
         b, c = float(spec.b), float(spec.c)
 
-        def deriv2(x: float, y: np.ndarray) -> np.ndarray:
-            return np.array([y[1], -b * y[1] - c * y[0]])
+        def rhs(fg, y):
+            return (y[1], -b * y[1] - c * y[0])
 
-        return deriv2
+        return (lambda xs: (None,) * len(xs)), rhs
 
-    f1 = _scalar_fn(spec.f)
-    g1 = _scalar_fn(spec.g)
+    f = as_array_fn(spec.f)
+    g = as_array_fn(spec.g)
+
+    def coefs(xs):
+        return tuple(zip(f(xs).tolist(), g(xs).tolist()))
 
     if spec.kind == EquationClass.LINEAR:
-        def deriv(x, y):
-            return np.array([g1(x) - f1(x) * y[0]])
+        def rhs(fg, y):
+            return (fg[1] - fg[0] * y[0],)
     elif spec.kind == EquationClass.BERNOULLI:
         alpha = float(spec.alpha)
 
-        def deriv(x, y):
-            ya = signed_power(y[0], alpha)
-            return np.array([g1(x) * ya - f1(x) * y[0]])
+        def rhs(fg, y):
+            return (fg[1] * signed_power(y[0], alpha) - fg[0] * y[0],)
     else:
         beta = float(spec.beta)
 
-        def deriv(x, y):
+        def rhs(fg, y):
             z = beta * y[0]
             if z > EXP_MAX:
                 raise OdeformError("exp(beta*y) overflow in the oracle")
-            return np.array([g1(x) - f1(x) * math.exp(z)])
+            return (fg[1] - fg[0] * math.exp(z),)
 
-    return deriv
-
-
-class _Truncated(Exception):
-    def __init__(self, at: float):
-        self.at = at
+    return coefs, rhs
 
 
-def _dp_step(deriv, x, y, h, k1):
-    ks = [k1]
+def _dp_step(coefs, rhs, x, y, h, k1):
+    """One Dormand-Prince attempt; returns (y5, err, ks) with ks[j] the
+    stage derivatives of component j. f and g are evaluated once, at all
+    stage abscissae together; k1 comes from the previous step."""
+    fg = coefs(x + h * _STAGE_C)
+    ks = [[k] for k in k1]
     for i in range(1, 7):
-        yi = y.copy()
-        for a, k in zip(_DP_A[i], ks):
-            if a != 0.0:
-                yi += (h * a) * k
-        ks.append(deriv(x + _DP_C[i] * h, yi))
-    y5 = y.copy()
-    for w, k in zip(_DP_B5, ks):
-        if w != 0.0:
-            y5 += (h * w) * k
-    err = np.zeros_like(y)
-    for w, k in zip(_DP_E, ks):
-        if w != 0.0:
-            err += (h * w) * k
-    return y5, err, ks[6]
+        yi = [yj + h * sum(map(mul, _DP_A[i], kj)) for yj, kj in zip(y, ks)]
+        for kj, k in zip(ks, rhs(fg[i - 1], yi)):
+            kj.append(k)
+    # The last stage is taken at the 5th-order solution itself.
+    return yi, [h * sum(map(mul, _DP_E, kj)) for kj in ks], ks
 
 
-def _march(deriv, x0, y0, targets, tol, counters):
-    """Advance from (x0, y0) hitting each target in order; returns rows of
-    state at targets reached. Raises _Truncated on blow-up or when stage
-    evaluation keeps failing."""
-    rows = []
-    x = float(x0)
-    y = np.asarray(y0, dtype=np.float64).copy()
-    k1 = deriv(x, y)
-    span = abs(targets[-1] - x0) or 1.0
-    direction = 1.0 if targets[-1] >= x0 else -1.0
+def _dense(ts, x, y, h, ks):
+    """Continuous extension of an accepted step at the points ts (an array
+    inside it); returns one array per state component."""
+    th = (ts - x) / h
+    out = []
+    for yj, kj in zip(y, ks):
+        q0, q1, q2, q3 = (sum(map(mul, p, kj)) for p in _DP_PT)
+        out.append(yj + h * th * (q0 + th * (q1 + th * (q2 + th * q3))))
+    return out
+
+
+def _march(coefs, rhs, x0, y0, k0, targets, tol, counters):
+    """Step from (x0, y0) to targets[-1]; targets are ordered away from x0.
+
+    The step size follows the error controller alone; only the last step is
+    clipped, to end on targets[-1]. Grid values come from the continuous
+    extension of the step that covers them. Returns (chunks, truncated_at):
+    chunks are (points, components) for the targets reached, and
+    truncated_at is None, or where |y| blew up or the step shrank away
+    because stage evaluation kept failing.
+    """
+    end = float(targets[-1])
+    direction = 1.0 if end > x0 else -1.0
+    span = abs(end - x0)
     h = direction * span / 100.0
     hmin = 1e-13 * max(1.0, span)
-    for t in targets:
-        while (t - x) * direction > 1e-14 * max(1.0, abs(t)):
-            if abs(h) > abs(t - x):
-                h = t - x
-            try:
-                y5, err, k7 = _dp_step(deriv, x, y, h, k1)
-            except (EvalError, OdeformError):
-                counters["rejected"] += 1
-                h *= 0.5
-                if abs(h) < hmin:
-                    raise _Truncated(x)
-                continue
-            if not np.all(np.isfinite(y5)):
-                counters["rejected"] += 1
-                h *= 0.5
-                if abs(h) < hmin:
-                    raise _Truncated(x)
-                continue
-            wt = tol + tol * np.maximum(np.abs(y), np.abs(y5))
-            enorm = math.sqrt(float(np.mean((err / wt) ** 2)))
+    reach = [(t - x0) * direction for t in targets.tolist()]
+    chunks = []
+    done = 0
+    x, y, k1 = x0, y0, k0
+    while x != end:
+        last = abs(h) >= abs(end - x)
+        if last:
+            h = end - x
+        try:
+            y5, err, ks = _dp_step(coefs, rhs, x, y, h, k1)
+            ok = all(map(math.isfinite, y5))
+        except OdeformError:
+            ok = False
+        if ok:
+            enorm = math.sqrt(sum(
+                (e / (tol + tol * max(abs(a), abs(b)))) ** 2
+                for e, a, b in zip(err, y, y5)) / len(y))
             if enorm <= 1.0:
-                x = x + h
-                y = y5
-                k1 = k7
                 counters["taken"] += 1
-                if np.max(np.abs(y)) > _BLOWUP:
-                    raise _Truncated(x)
-                fac = 5.0 if enorm == 0.0 else min(5.0, max(
+                xn = end if last else x + h
+                if max(map(abs, y5)) > _BLOWUP:
+                    return chunks, xn
+                stop = bisect.bisect_right(reach, (xn - x0) * direction)
+                if stop > done:
+                    ts = targets[done:stop]
+                    chunks.append((ts, _dense(ts, x, y, h, ks)))
+                    done = stop
+                x, y, k1 = xn, y5, [kj[6] for kj in ks]
+                h *= 5.0 if enorm == 0.0 else min(5.0, max(
                     0.2, 0.9 * enorm ** -0.2))
-                h *= fac
-            else:
-                counters["rejected"] += 1
-                h *= max(0.2, 0.9 * enorm ** -0.2)
-                if abs(h) < hmin:
-                    raise _Truncated(x)
-        rows.append((t, y.copy()))
-    return rows
+                continue
+            h *= max(0.2, 0.9 * enorm ** -0.2)
+        else:
+            h *= 0.5
+        counters["rejected"] += 1
+        if abs(h) < hmin:
+            return chunks, x
+    return chunks, None
 
 
 def rk_reference(spec: EquationSpec, ic: InitialCondition,
@@ -251,9 +276,12 @@ def rk_reference(spec: EquationSpec, ic: InitialCondition,
     """Integrate the initial-value problem over xrange with an adaptive
     embedded Runge-Kutta 5(4) pair, reporting values on a uniform grid.
 
-    atol and rtol are both set to ``tol``. If |y| exceeds 1e12, or
+    atol and rtol are both set to ``tol``. Steps follow the tolerance, not
+    the grid: the grid values come from the pair's continuous extension, so
+    the step counts do not depend on ``grid_size``. If |y| exceeds 1e12, or
     coefficient evaluation keeps failing while the step shrinks away, the
-    trajectory is truncated there and flagged; failure at x0 itself raises.
+    trajectory is truncated there and flagged, keeping the grid points
+    reached before; failure at x0 itself raises.
     """
     lo, hi = float(xrange[0]), float(xrange[1])
     if not (lo < hi):
@@ -265,31 +293,33 @@ def rk_reference(spec: EquationSpec, ic: InitialCondition,
     second = spec.kind == EquationClass.SECOND_ORDER
     if second and ic.yp0 is None:
         raise ParameterError("second-order initial data needs yp0")
-    deriv = _deriv_fn(spec)
-    y0 = np.array([ic.y0, ic.yp0]) if second else np.array([ic.y0])
-    deriv(ic.x0, y0)  # a failure at the anchor is a caller error: surface it
+    coefs, rhs = _stage_fns(spec)
+    x0 = float(ic.x0)
+    y0 = [float(ic.y0), float(ic.yp0)] if second else [float(ic.y0)]
+    # A failure at the anchor is a caller error: surface it.
+    k0 = rhs(coefs(np.array([x0]))[0], y0)
 
     grid = np.linspace(lo, hi, int(grid_size))
-    up = [float(t) for t in grid if t > ic.x0]
-    down = [float(t) for t in grid[::-1] if t < ic.x0]
+    at = grid[grid == x0]
+    chunks = [(at, [np.full(len(at), v) for v in y0])]
     counters = {"taken": 0, "rejected": 0}
-    rows = [(float(t), y0.copy()) for t in grid if t == ic.x0]
     truncated_at = None
-    for targets in (down, up):
-        if not targets:
-            continue
-        try:
-            rows.extend(_march(deriv, ic.x0, y0, targets, tol, counters))
-        except _Truncated as tr:
-            truncated_at = tr.at
+    for targets in (grid[grid < x0][::-1], grid[grid > x0]):
+        if len(targets):
+            done, stop = _march(coefs, rhs, x0, y0, k0, targets, tol,
+                                counters)
+            chunks.extend(done)
+            if stop is not None:
+                truncated_at = stop
 
-    rows.sort(key=lambda r: r[0])
-    gx = np.array([r[0] for r in rows])
-    gy = np.array([r[1][0] for r in rows])
-    slopes = np.array([r[1][1] for r in rows]) if second else None
+    gx = np.concatenate([ts for ts, _ in chunks])
+    order = np.argsort(gx, kind="stable")
+    comps = [np.concatenate([ys[j] for _, ys in chunks])[order]
+             for j in range(len(y0))]
     return OracleSolution(
-        grid=gx, values=gy, slopes=slopes, method="rk45",
-        steps_taken=counters["taken"], steps_rejected=counters["rejected"],
+        grid=gx[order], values=comps[0], slopes=comps[1] if second else None,
+        method="rk45", steps_taken=counters["taken"],
+        steps_rejected=counters["rejected"],
         truncated=truncated_at is not None, truncated_at=truncated_at)
 
 

@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import odeform
 from odeform.cli import run
@@ -280,6 +282,38 @@ def test_domain_error_oracle_anchor_exits_2():
     assert_clean_error(
         ["oracle", "--class", "linear", "--f", "1/x", "--g", "0",
          "--x0", "0", "--y0", "1", "--range", "0:1"], 2)
+
+
+def test_domain_error_power_overflow_exits_2():
+    # C = y0^(1 - alpha) = 1e600 lies outside double range.
+    err = assert_clean_error(
+        ["solve", "--class", "bernoulli", "--f", "1", "--g", "1",
+         "--alpha", "-1", "--x0", "0", "--y0", "1e300", "--range", "0:1"], 2)
+    assert "double range" in err
+
+
+_TOL_FLAG_COMMANDS = {
+    "--abs-tol": ("solve", "verify", "oracle"),
+    "--rel-tol": ("solve", "verify", "oracle"),
+    "--check-tol": ("verify",),
+    "--oracle-tol": ("verify", "oracle"),
+}
+_BAD_TOLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, -math.inf]),
+    st.floats(max_value=0.0),
+    st.floats(min_value=1.0))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=st.data())
+def test_bad_tolerance_flag_is_a_usage_error(data):
+    flag = data.draw(st.sampled_from(sorted(_TOL_FLAG_COMMANDS)))
+    command = data.draw(st.sampled_from(_TOL_FLAG_COMMANDS[flag]))
+    value = data.draw(_BAD_TOLS)
+    err = assert_clean_error(
+        [command, "--class", "linear", "--f", "1", "--g", "0", "--x0", "0",
+         "--y0", "1", "--range", "0:1", f"{flag}={value!r}"], 1)
+    assert flag in err
 
 
 def test_verify_failure_exits_3_with_full_report():

@@ -17,6 +17,7 @@ from odeform import (
     ParameterError,
     construct,
     parse,
+    signed_power,
     solve_bernoulli,
     solve_bernoulli_via_linear,
     solve_exp,
@@ -134,6 +135,13 @@ def test_bernoulli_parameter_validation():
     with pytest.raises(ParameterError):
         # y = 0 start with alpha <= 0 puts y^alpha outside its domain
         solve_bernoulli(parse("1"), parse("1"), -1.0, ic(0.0, 0.0))
+
+
+def test_bernoulli_power_overflow_is_typed():
+    with pytest.raises(EvalOverflowError):
+        signed_power(1e300, 2.0)
+    with pytest.raises(EvalOverflowError):
+        solve_bernoulli(parse("1"), parse("1"), -1.0, ic(0.0, 1e300))
 
 
 def test_bernoulli_blowup_validity():

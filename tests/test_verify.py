@@ -12,6 +12,7 @@ from odeform import (
     EquationClass,
     EquationSpec,
     EvalDomainError,
+    EvalOverflowError,
     InconclusiveError,
     InitialCondition,
     NoOverlapError,
@@ -79,10 +80,15 @@ def test_oracle_marches_both_directions():
 
 def test_oracle_truncates_at_blowup():
     spec = EquationSpec.bernoulli(parse("0"), parse("1"), 2.0)  # y' = y^2
-    oracle = rk_reference(spec, ic(0.0, 1.0), (0.0, 2.0))
+    oracle = rk_reference(spec, ic(0.0, 1.0), (0.0, 2.0), grid_size=21)
     assert oracle.truncated
-    assert 0.9 <= oracle.truncated_at <= 1.01
-    assert oracle.grid.max() < 1.01  # nothing reported past the blow-up
+    assert 0.99 <= oracle.truncated_at <= 1.0
+    # Every grid point before the blow-up is kept, and none past it.
+    grid = np.linspace(0.0, 2.0, 21)
+    assert np.array_equal(oracle.grid, grid[grid < oracle.truncated_at])
+    near = oracle.grid <= 0.9 + 1e-12
+    exact = 1.0 / (1.0 - oracle.grid[near])
+    assert np.max(np.abs(oracle.values[near] - exact) / exact) <= 5e-8
 
 
 def test_oracle_self_consistency():
@@ -114,6 +120,83 @@ def test_oracle_surfaces_anchor_failure():
     spec = EquationSpec.linear(parse("1/x"), parse("0"))
     with pytest.raises(EvalDomainError):
         rk_reference(spec, ic(0.0, 1.0), (0.0, 1.0))
+    # y' = 1/y at y = 1e-310: the power overflows; a typed error, too.
+    spec = EquationSpec.bernoulli(parse("0"), parse("1"), -1.0)
+    with pytest.raises(EvalOverflowError):
+        rk_reference(spec, ic(0.0, 1e-310), (0.0, 1.0))
+
+
+def test_oracle_steps_do_not_depend_on_the_grid():
+    suite = [
+        (EquationSpec.linear(parse("sin(x)"), parse("cos(x)")),
+         ic(0.0, 1.0), (0.0, 2.0)),
+        (EquationSpec.linear(parse("1"), parse("sin(40*x)")),
+         ic(0.0, 1.0), (0.0, 10.0)),
+        (LINEAR_GROWTH, ic(0.3, 1.0), (-1.0, 1.0)),
+        (BERNOULLI_WORKED, ic(0.0, 0.5), (0.0, 1.0)),
+        (OSCILLATOR, ic(0.0, 0.0, 1.0), (0.0, 10.0)),
+    ]
+    for spec, c, rng in suite:
+        counts = set()
+        for n in (11, 201, 2001):
+            oracle = rk_reference(spec, c, rng, grid_size=n)
+            assert len(oracle.grid) == n
+            counts.add((oracle.steps_taken, oracle.steps_rejected))
+        assert len(counts) == 1, (spec.kind, counts)
+
+
+_SIN40_C = 1.0 + 40.0 / 1601.0
+
+# Problems with a known exact solution: (spec, initial data, range, exact).
+GROUND_TRUTH = [
+    (EquationSpec.linear(parse("1"), parse("x")), ic(0.0, 1.0), (0.0, 2.0),
+     lambda x: x - 1.0 + 2.0 * np.exp(-x)),
+    (EquationSpec.linear(parse("1"), parse("sin(40*x)")), ic(0.0, 1.0),
+     (0.0, 10.0),
+     lambda x: _SIN40_C * np.exp(-x)
+     + (np.sin(40.0 * x) - 40.0 * np.cos(40.0 * x)) / 1601.0),
+    (LINEAR_GROWTH, ic(0.0, 1.0), (-1.0, 1.0), np.exp),
+    (BERNOULLI_WORKED, ic(0.0, 0.5), (0.0, 1.0),
+     lambda x: 1.0 / (1.0 + np.exp(x))),
+    (EquationSpec.exp_class(parse("1"), parse("0"), 1.0), ic(0.0, 0.0),
+     (0.0, 2.0), lambda x: -np.log1p(x)),                  # y' + e^y = 0
+    (OSCILLATOR, ic(0.0, 0.0, 1.0), (0.0, 10.0), np.sin),
+]
+
+
+@pytest.mark.parametrize("spec,c,rng,exact", GROUND_TRUTH,
+                         ids=["forced", "sin40x", "growth-two-sided",
+                              "bernoulli", "exp", "oscillator"])
+def test_oracle_against_exact_solutions(spec, c, rng, exact):
+    """Every grid value is within 5e-8 of the exact solution, relative to
+    1 + |y| (the normalization the oracle comparison uses)."""
+    oracle = rk_reference(spec, c, rng)
+    assert not oracle.truncated
+    assert oracle.grid[0] == rng[0] and oracle.grid[-1] == rng[1]
+    y = exact(oracle.grid)
+    assert np.max(np.abs(oracle.values - y) / (1.0 + np.abs(y))) <= 5e-8
+    if oracle.slopes is not None:
+        assert np.max(np.abs(oracle.slopes - np.cos(oracle.grid))) <= 5e-8
+
+
+def test_oracle_grid_on_both_sides_of_an_interior_x0():
+    oracle = rk_reference(LINEAR_GROWTH, ic(0.3, 1.0), (-1.0, 1.0),
+                          grid_size=21)
+    assert np.array_equal(oracle.grid, np.linspace(-1.0, 1.0, 21))
+    exact = np.exp(oracle.grid - 0.3)
+    assert np.max(np.abs(oracle.values - exact) / exact) <= 5e-8
+
+
+def test_oracle_truncates_where_a_coefficient_fails():
+    # f = sqrt(1 - x) has no real value past x = 1: the steps shrink away
+    # there, and the grid points before it are still reported.
+    spec = EquationSpec.linear(parse("sqrt(1-x)"), parse("0"))
+    oracle = rk_reference(spec, ic(0.0, 1.0), (0.0, 2.0), grid_size=5)
+    assert oracle.truncated
+    assert 1.0 - 1e-9 <= oracle.truncated_at <= 1.0
+    assert list(oracle.grid) == [0.0, 0.5]
+    exact = math.exp((2.0 / 3.0) * (0.5 ** 1.5 - 1.0))
+    assert abs(oracle.values[1] - exact) <= 5e-8 * exact
 
 
 # ---------------------------------------------------------------------------
