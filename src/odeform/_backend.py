@@ -2,16 +2,17 @@
 
 Expressions compile to a postfix tape (opcode array plus aligned constant
 array). ``tape_eval`` interprets it over an array of evaluation points,
-applying each opcode to whole arrays. ``_tape_eval_core`` is a plain Python
-loop over the points with the same semantics; it is the scalar reference
-that the parity test compares the kernel against.
+applying each opcode to whole arrays. The test suite holds a scalar
+reference interpreter with the same semantics and checks the kernel
+against it.
 
-Every evaluated point gets a status; callers turn nonzero statuses into
-exceptions so NaN never leaks.
+Every evaluated point gets a status and a failed point's value is NaN.
+Callers either raise from the first nonzero status or, as the quadrature
+integrands do, keep the NaN as a per-point failure mask.
 
 Powers follow one rule, written once per shape: ``pow_vector`` for arrays
-(the kernel, the residual check) and ``pow_scalar`` for single floats (the
-reference interpreter, ``signed_power``, the constructors, the oracle).
+(the kernel, the residual check) and ``pow_scalar`` for single floats
+(``signed_power``, the constructors, the oracle).
 Positive bases behave as usual, 0**positive is 0 and 0**0 is 1, and a
 negative base is accepted only for an exponent within a relative 2^-52 of
 an integer, with the sign following that integer's parity.
@@ -85,97 +86,11 @@ def pow_vector(a: np.ndarray, b):
     return np.where(neg & odd, -r, r), bad
 
 
-def _tape_eval_core(code, cval, need, xs):
-    # Scalar reference interpreter, checked against tape_eval by the parity
-    # test.
-    n = xs.shape[0]
-    m = code.shape[0]
-    out = np.empty(n)
-    status = np.zeros(n, np.int8)
-    stack = np.empty(need)
-    for i in range(n):
-        x = xs[i]
-        sp = 0
-        st = 0
-        for k in range(m):
-            op = code[k]
-            if op == OP_CONST:
-                stack[sp] = cval[k]
-                sp += 1
-            elif op == OP_X:
-                stack[sp] = x
-                sp += 1
-            elif op == OP_NEG:
-                stack[sp - 1] = -stack[sp - 1]
-            elif op <= OP_POW:
-                b = stack[sp - 1]
-                a = stack[sp - 2]
-                sp -= 1
-                if op == OP_ADD:
-                    r = a + b
-                elif op == OP_SUB:
-                    r = a - b
-                elif op == OP_MUL:
-                    r = a * b
-                elif op == OP_DIV:
-                    if b == 0.0:
-                        st = ERR_DIV_ZERO
-                        break
-                    r = a / b
-                else:
-                    r = pow_scalar(a, b)
-                    if r is None:
-                        st = ERR_POW_DOMAIN
-                        break
-                stack[sp - 1] = r
-                if not np.isfinite(r):
-                    st = ERR_OVERFLOW
-                    break
-            else:
-                a = stack[sp - 1]
-                if op == OP_SIN:
-                    r = np.sin(a)
-                elif op == OP_COS:
-                    r = np.cos(a)
-                elif op == OP_TAN:
-                    r = np.tan(a)
-                elif op == OP_EXP:
-                    if a > EXP_MAX:
-                        st = ERR_OVERFLOW
-                        break
-                    r = np.exp(a)
-                elif op == OP_LOG:
-                    if a <= 0.0:
-                        st = ERR_LOG_DOMAIN
-                        break
-                    r = np.log(a)
-                elif op == OP_SQRT:
-                    if a < 0.0:
-                        st = ERR_SQRT_DOMAIN
-                        break
-                    r = np.sqrt(a)
-                elif op == OP_ABS:
-                    r = abs(a)
-                else:
-                    r = np.arctan(a)
-                stack[sp - 1] = r
-                if not np.isfinite(r):
-                    st = ERR_OVERFLOW
-                    break
-        if st == OK:
-            out[i] = stack[0]
-        else:
-            out[i] = np.nan
-            status[i] = st
-    return out, status
-
-
 def tape_eval(code, cval, need, xs):
     """Run the compiled tape over ``xs``; returns (values, statuses)."""
     # Status is sticky: once a lane errors, later ops may compute garbage
     # there but never change its status, and the output lane is forced to
-    # NaN at the end. That matches the scalar reference, which breaks out at
-    # the first error.
+    # NaN at the end, as if the lane had stopped at its first error.
     n = xs.shape[0]
     status = np.zeros(n, np.int8)
     stack = np.empty((need, n))

@@ -17,9 +17,10 @@ implicit multiplication; ``2x`` and ``2*+x`` are syntax errors.
 parse() builds an immutable Expression. Evaluation is reentrant, safe to
 call from multiple threads, and total: every point either yields a finite
 float or raises EvalDomainError / EvalOverflowError naming the offending x.
-NaN and infinity never propagate to callers. Powers with a negative base
-are real only for integer exponents; exponents within a relative 2^-52 of
-an integer are accepted as integers.
+NaN and infinity never propagate to callers, except through the opt-in
+``eval_many(xs, masked=True)``, which marks each failing point NaN. Powers
+with a negative base are real only for integer exponents; exponents within
+a relative 2^-52 of an integer are accepted as integers.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from ._backend import (ERR_DIV_ZERO, ERR_LOG_DOMAIN, ERR_OVERFLOW,
                        OP_ATAN, OP_CONST, OP_COS, OP_DIV, OP_EXP, OP_LOG,
                        OP_MUL, OP_NEG, OP_POW, OP_SIN, OP_SQRT, OP_SUB,
                        OP_TAN, OP_X, tape_eval)
-from .errors import EvalDomainError, EvalOverflowError, ExprSyntaxError
+from .errors import (EvalDomainError, EvalError, EvalOverflowError,
+                     ExprSyntaxError)
 
 __all__ = ["Expression", "parse"]
 
@@ -270,11 +272,12 @@ class Expression:
         self._cval = cval
         self._need = need
 
-    def eval_many(self, xs) -> np.ndarray:
+    def eval_many(self, xs, *, masked: bool = False) -> np.ndarray:
         """Evaluate at a 1-D array of finite points.
 
         Raises EvalDomainError / EvalOverflowError at the first failing
-        point; on success every returned value is finite.
+        point; on success every returned value is finite. With ``masked``
+        nothing is raised and failing points read NaN instead.
         """
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         if xs.ndim != 1:
@@ -282,10 +285,10 @@ class Expression:
         if xs.size and not np.all(np.isfinite(xs)):
             raise ValueError("evaluation points must be finite")
         out, status = tape_eval(self._code, self._cval, self._need, xs)
-        if status.any():
-            i = int(np.argmax(status > 0))
-            self._raise(int(status[i]), float(xs[i]))
-        return out
+        if masked or not status.any():
+            return out
+        i = int(np.argmax(status > 0))
+        raise self._error(int(status[i]), float(xs[i]))
 
     def eval(self, x: float) -> float:
         return float(self.eval_many(np.array([x], dtype=np.float64))[0])
@@ -295,11 +298,17 @@ class Expression:
             return self.eval(float(x))
         return self.eval_many(x)
 
-    def _raise(self, status: int, x: float):
+    def _error(self, status: int, x: float) -> EvalError:
         message = f"{_STATUS_MESSAGES[status]} in {self.text!r}"
         if status == ERR_OVERFLOW:
-            raise EvalOverflowError(message, x)
-        raise EvalDomainError(message, x)
+            return EvalOverflowError(message, x)
+        return EvalDomainError(message, x)
+
+    def _error_at(self, x: float) -> EvalError | None:
+        """The typed error of evaluating at x, or None where x is fine."""
+        _, status = tape_eval(self._code, self._cval, self._need,
+                              np.array([x], dtype=np.float64))
+        return self._error(int(status[0]), x) if status[0] else None
 
     def __repr__(self):
         return f"Expression({self.text!r})"

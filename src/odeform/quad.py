@@ -16,19 +16,33 @@ multiple threads are safe.
 
 Integrands only need to be Riemann integrable on bounded intervals; strict
 accuracy claims hold for piecewise-smooth ones. Panels that shrink to the
-floating-point limit are accepted as is, and if tolerance still cannot be
-met within max_depth a ConvergenceError carrying the last estimate is
-raised.
+floating-point limit are accepted as is.
+
+Failure is per interval, as QUADPACK reports it with a per-integral flag
+(Piessens et al., *QUADPACK*, Springer 1983). Integrands mark a node they
+cannot evaluate with a non-finite value (an Expression does so through
+its tape statuses). An interval fails as soon as one of its nodes is not
+finite, and such a panel is never split; it also fails if it misses
+tolerance at max_depth or once it holds more than _PANEL_BUDGET panels at
+one depth. So an interval's result never depends on the other intervals
+of its batch. The masked forms (``masked=True``) return NaN for a failed
+interval, and an antiderivative is NaN past any failed checkpoint
+segment. The plain forms raise from the first failed point: the
+integrand's own typed error at the failing node, an EvalError for a node
+where a plain callable returned a non-finite value, or a
+ConvergenceError carrying the last estimate.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, EvalOverflowError, ParameterError
+from .errors import (ConvergenceError, EvalDomainError, EvalError,
+                     EvalOverflowError, ParameterError)
 from .expr import Expression
 from ._backend import EXP_MAX
 
@@ -89,7 +103,9 @@ _WG15[7] = _WG_HALF[3]
 _EPS = np.finfo(np.float64).eps
 _DEFAULT_SPACING = 1.0 / 128.0
 _MAX_SEGMENTS = 1 << 21  # guard against runaway checkpoint tables
-_PANEL_BUDGET = 20_000   # per-interval cap on total panels ever examined
+_PANEL_BUDGET = 10_000   # per-interval cap on the panels it holds at a depth
+_SEGMENT_TOL = 1.0 / 256.0  # checkpoint segments' share of abs_tol
+_TAIL_TOL = 0.25            # the tail's share of abs_tol
 
 
 @dataclass(frozen=True)
@@ -123,14 +139,18 @@ class QuadratureConfig:
 _DEFAULT_CFG = QuadratureConfig()
 
 
-def as_array_fn(f):
+def as_array_fn(f, masked: bool = False):
     """Adapt an Expression or plain callable to a vectorized float64 map.
 
     Plain callables are tried on whole arrays first; scalar-only callables
     (TypeError/ValueError on array input, or wrong result shape) fall back
-    to an elementwise loop.
+    to an elementwise loop. An Expression raises at its first failing
+    point, or with ``masked`` reads NaN there; a plain callable's values,
+    finite or not, pass through as they are.
     """
     if isinstance(f, Expression):
+        if masked:
+            return lambda xs: f.eval_many(xs, masked=True)
         return f.eval_many
     if not callable(f):
         raise TypeError(f"expected an Expression or callable, got {f!r}")
@@ -152,12 +172,27 @@ def as_array_fn(f):
 
 
 def _gk_panels(fn, pa, pb):
-    """Apply the Kronrod rule on every [pa[i], pb[i]]; returns (val, err)."""
+    """Apply the Kronrod rule on every [pa[i], pb[i]]; returns (val, err,
+    saturated, lost). ``lost`` is None when every panel is fine, else per
+    panel NaN for a fine one, the first node where fn is not finite, or
+    inf for a panel whose estimate left double range."""
     half = 0.5 * (pb - pa)
     mid = 0.5 * (pa + pb)
     pts = mid[:, None] + half[:, None] * _NODES[None, :]
     vals = fn(pts.ravel()).reshape(pts.shape)
+    # Every Kronrod weight is positive, so a non-finite node makes its
+    # panel's sum non-finite; only such panels are searched for the node.
     resk_u = vals @ _WK
+    lost = None
+    if not math.isfinite(resk_u.sum()):
+        bad = ~np.isfinite(resk_u)
+        lost = np.where(bad, np.inf, np.nan)
+        rows = np.flatnonzero(bad)
+        nonfinite = ~np.isfinite(vals[rows])
+        has = nonfinite.any(axis=1)
+        lost[rows[has]] = pts[rows[has], np.argmax(nonfinite[has], axis=1)]
+        vals = np.where(bad[:, None], 0.0, vals)
+        resk_u = vals @ _WK
     resg_u = vals @ _WG15
     resabs = (np.abs(vals) @ _WK) * np.abs(half)
     reskh = 0.5 * resk_u
@@ -174,29 +209,21 @@ def _gk_panels(fn, pa, pb):
     floor = 50.0 * _EPS * resabs
     saturated = err <= floor
     err = np.maximum(err, floor)
-    return resk_u * half, err, saturated
+    if not math.isfinite(err.sum()):
+        if lost is None:
+            lost = np.full(pa.shape, np.nan)
+        lost[np.isnan(lost) & ~np.isfinite(err)] = np.inf
+    return resk_u * half, err, saturated, lost
 
 
-def integrate_many(fn, a, b, cfg: QuadratureConfig | None = None, *,
-                   abs_tol: float | None = None,
-                   rel_tol: float | None = None) -> np.ndarray:
-    """Integrate ``fn`` over each interval [a[i], b[i]] adaptively.
-
-    Reversed intervals integrate the ordered interval and negate, so the
-    result is exactly antisymmetric under swapping bounds. Zero-width
-    intervals contribute exactly 0.0 without evaluating the integrand.
+def _integrate(fn, a, b, cfg, atol, rtol):
+    """Masked core of integrate_many; ``fn`` returns non-finite values at
+    the nodes it cannot evaluate. Returns per interval (estimate, error
+    estimate, node, failed): node is the first node where fn was not
+    finite (NaN if none), or None when no interval had such a node or an
+    overflow. A failed interval's estimate is junk, or infinite where the
+    interval was dropped for a node or an overflow.
     """
-    cfg = cfg or _DEFAULT_CFG
-    atol = cfg.abs_tol if abs_tol is None else abs_tol
-    rtol = cfg.rel_tol if rel_tol is None else rel_tol
-    fn = as_array_fn(fn)
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_1d(np.asarray(b, dtype=np.float64))
-    if a.shape != b.shape or a.ndim != 1:
-        raise ParameterError("bounds must be 1-D arrays of equal length")
-    if a.size and not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ParameterError("integration bounds must be finite")
-
     n = a.size
     sign = np.where(b >= a, 1.0, -1.0)
     lo = np.minimum(a, b)
@@ -205,25 +232,40 @@ def integrate_many(fn, a, b, cfg: QuadratureConfig | None = None, *,
 
     total = np.zeros(n)
     etotal = np.zeros(n)
-    live = width > 0.0
-    iv = np.nonzero(live)[0]
+    node = None
+    iv = np.nonzero(width > 0.0)[0]
     pa = lo[iv]
     pb = hi[iv]
 
     depth = 0
-    panels_seen = 0
-    budget = _PANEL_BUDGET * n
     while iv.size:
-        val, err, saturated = _gk_panels(fn, pa, pb)
-        panels_seen += iv.size
+        val, err, saturated, lost = _gk_panels(fn, pa, pb)
+        if lost is not None and not np.isnan(lost).all():
+            # Panels of one interval are contiguous and in order, so the
+            # first lost panel of each interval is its leftmost one.
+            hit = ~np.isnan(lost)
+            ivs, first = np.unique(iv[hit], return_index=True)
+            if node is None:
+                node = np.full(n, np.nan)
+            node[ivs] = lost[hit][first]
+            total[ivs] = np.inf
+            gone = np.zeros(n, bool)
+            gone[ivs] = True
+            live = ~gone[iv]
+            iv, pa, pb = iv[live], pa[live], pb[live]
+            val, err, saturated = val[live], err[live], saturated[live]
         est = total + np.bincount(iv, weights=val, minlength=n)
         tol_iv = np.maximum(atol, rtol * np.abs(est))[iv]
         share = tol_iv * (pb - pa) / width[iv]
         tiny = (pb - pa) <= 100.0 * _EPS * np.maximum(
             1.0, np.maximum(np.abs(pa), np.abs(pb)))
         done = (err <= share) | tiny | saturated
-        if depth >= cfg.max_depth or panels_seen > budget:
-            done = np.ones_like(done)
+        if depth >= cfg.max_depth:
+            done[:] = True
+        elif iv.size > _PANEL_BUDGET and 2 ** depth > _PANEL_BUDGET:
+            # Only from here on can one interval hold more panels than the
+            # budget; those that do stop splitting.
+            done |= np.bincount(iv, minlength=n)[iv] > _PANEL_BUDGET
         if done.any():
             d = np.nonzero(done)[0]
             total += np.bincount(iv[d], weights=val[d], minlength=n)
@@ -238,15 +280,70 @@ def integrate_many(fn, a, b, cfg: QuadratureConfig | None = None, *,
         depth += 1
 
     tol_final = np.maximum(atol, rtol * np.abs(total))
-    bad = etotal > tol_final
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ConvergenceError(
-            f"quadrature did not converge within max_depth={cfg.max_depth}",
-            estimate=float(sign[i] * total[i]),
-            error_estimate=float(etotal[i]),
-            interval=(float(a[i]), float(b[i])))
-    return sign * total
+    failed = etotal > tol_final
+    if node is not None or not math.isfinite(total.sum()):
+        failed |= ~np.isfinite(total)
+    if node is not None:
+        node[np.isinf(node)] = np.nan  # lost to an overflow, not to a node
+    return sign * total, etotal, node, failed
+
+
+def _node_error(fn, t: float) -> EvalError:
+    """The typed error for an integrand node t where fn is not finite."""
+    if isinstance(fn, (Expression, _Weighted)):
+        err = fn._error_at(t)
+        if err is not None:
+            return err
+    v = float(as_array_fn(fn, masked=True)(np.array([t]))[0])
+    kind = EvalOverflowError if math.isinf(v) else EvalDomainError
+    return kind(f"integrand returned {v!r}", t)
+
+
+def _failure(fn, a: float, b: float, est: float, err: float,
+             node: float | None, cfg: QuadratureConfig):
+    """The typed error of a failed interval [a, b]; ``node`` is its entry
+    of _integrate's node array (None if there is none)."""
+    if node is not None and not math.isnan(node):
+        return _node_error(fn, node)
+    if not math.isfinite(est):
+        return EvalOverflowError("integral outside double range", b)
+    return ConvergenceError(
+        f"quadrature did not converge within max_depth={cfg.max_depth}",
+        estimate=est, error_estimate=err, interval=(a, b))
+
+
+def integrate_many(fn, a, b, cfg: QuadratureConfig | None = None, *,
+                   abs_tol: float | None = None,
+                   rel_tol: float | None = None,
+                   masked: bool = False) -> np.ndarray:
+    """Integrate ``fn`` over each interval [a[i], b[i]] adaptively.
+
+    Reversed intervals integrate the ordered interval and negate, so the
+    result is exactly antisymmetric under swapping bounds. Zero-width
+    intervals contribute exactly 0.0 without evaluating the integrand.
+    Raises the typed error of the first failed interval; with ``masked``
+    a failed interval reads NaN instead.
+    """
+    cfg = cfg or _DEFAULT_CFG
+    atol = cfg.abs_tol if abs_tol is None else abs_tol
+    rtol = cfg.rel_tol if rel_tol is None else rel_tol
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_1d(np.asarray(b, dtype=np.float64))
+    if a.shape != b.shape or a.ndim != 1:
+        raise ParameterError("bounds must be 1-D arrays of equal length")
+    if a.size and not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ParameterError("integration bounds must be finite")
+    est, err, node, failed = _integrate(as_array_fn(fn, masked=True), a, b,
+                                        cfg, atol, rtol)
+    if not failed.any():
+        return est
+    if masked:
+        est[failed] = np.nan
+        return est
+    i = int(np.argmax(failed))
+    raise _failure(fn, float(a[i]), float(b[i]), float(est[i]),
+                   float(err[i]), None if node is None else float(node[i]),
+                   cfg)
 
 
 def integrate(fn, a: float, b: float,
@@ -264,13 +361,18 @@ class Antiderivative:
     small fraction of the configured tolerance so chains of them do not
     erode the overall budget.
 
+    A failed checkpoint segment makes its checkpoint NaN, and so every
+    checkpoint beyond it: F is undefined past the first point where it
+    fails, and ``values`` raises or, with ``masked``, reads NaN there.
+
     ``eval_count`` counts integrand evaluations, which makes cost claims
     testable: covering a fresh span costs one pass of checkpoint segments
     plus one bounded tail per query point.
     """
 
     def __init__(self, fn, x0: float, cfg: QuadratureConfig | None = None):
-        self._fn_raw = as_array_fn(fn)
+        self._src = fn
+        masked = as_array_fn(fn, masked=True)
         self._cfg = cfg or _DEFAULT_CFG
         self._h = self._cfg.checkpoint_spacing or _DEFAULT_SPACING
         if not np.isfinite(x0):
@@ -283,7 +385,7 @@ class Antiderivative:
 
         def counted(xs: np.ndarray) -> np.ndarray:
             self.eval_count += xs.size
-            return self._fn_raw(xs)
+            return masked(xs)
 
         self._fn = counted
 
@@ -314,7 +416,8 @@ class Antiderivative:
             ks = np.arange(first, kmax)
             lo = self._x0 + ks * self._h
             segs = integrate_many(self._fn, lo, lo + self._h, self._cfg,
-                                  abs_tol=self._cfg.abs_tol / 256.0)
+                                  abs_tol=_SEGMENT_TOL * self._cfg.abs_tol,
+                                  masked=True)
             acc = self._pos[-1]
             for s in segs:
                 acc += s
@@ -324,14 +427,19 @@ class Antiderivative:
             ks = np.arange(first, -kmin)
             hi = self._x0 - ks * self._h
             segs = integrate_many(self._fn, hi - self._h, hi, self._cfg,
-                                  abs_tol=self._cfg.abs_tol / 256.0)
+                                  abs_tol=_SEGMENT_TOL * self._cfg.abs_tol,
+                                  masked=True)
             acc = self._neg[-1]
             for s in segs:
                 acc -= s
                 self._neg.append(acc)
 
-    def values(self, xs) -> np.ndarray:
-        """F at a 1-D array of points, any order."""
+    def values(self, xs, *, masked: bool = False) -> np.ndarray:
+        """F at a 1-D array of points, any order.
+
+        Raises the typed error of the first point where F fails; with
+        ``masked`` such points read NaN instead.
+        """
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         if xs.ndim != 1:
             raise ValueError("expected a 1-D array of points")
@@ -349,13 +457,51 @@ class Antiderivative:
             self._extend(int(ks.min()), int(ks.max()))
             pos = np.asarray(self._pos)
             neg = np.asarray(self._neg)
-            base = np.where(ks >= 0,
-                            pos[np.maximum(ks, 0)],
-                            neg[np.maximum(-ks, 0)])
+            out = np.where(ks >= 0,
+                           pos[np.maximum(ks, 0)],
+                           neg[np.maximum(-ks, 0)])
             ck = self._x0 + ks * self._h
-            tails = integrate_many(self._fn, ck, xs, self._cfg,
-                                   abs_tol=self._cfg.abs_tol / 4.0)
-        return base + tails
+            if math.isnan(out.sum()):
+                dead = np.isnan(out)
+                ck[dead] = xs[dead]  # F is NaN there: no tail to integrate
+            out += integrate_many(self._fn, ck, xs, self._cfg,
+                                  abs_tol=_TAIL_TOL * self._cfg.abs_tol,
+                                  masked=True)
+        if not masked:
+            bad = np.isnan(out)
+            if bad.any():
+                raise self._error_at(float(xs[int(np.argmax(bad))]))
+        return out
+
+    def _error_at(self, x: float) -> EvalError:
+        """The typed error of F at a point x where it is NaN: the integral
+        that failed on the way to x is run again on its own."""
+        h, cfg = self._h, self._cfg
+        k = int(np.floor((x - self._x0) / h))
+        with self._lock:
+            side = self._pos if k >= 0 else self._neg
+            lost = np.isnan(side[:abs(k) + 1])
+        if lost.any():
+            # The segment that made the first NaN checkpoint, with the
+            # bounds _extend gave it.
+            j = int(np.argmax(lost)) - 1
+            if k >= 0:
+                a = self._x0 + j * h
+                b = a + h
+            else:
+                b = self._x0 - j * h
+                a = b - h
+            atol = _SEGMENT_TOL * cfg.abs_tol
+        else:
+            a, b = self._x0 + k * h, x
+            atol = _TAIL_TOL * cfg.abs_tol
+        est, err, node, failed = _integrate(
+            as_array_fn(self._src, masked=True), np.array([a]),
+            np.array([b]), cfg, atol, cfg.rel_tol)
+        if not failed[0]:
+            return EvalDomainError("antiderivative is not finite", x)
+        return _failure(self._src, a, b, float(est[0]), float(err[0]),
+                        None if node is None else float(node[0]), cfg)
 
     def value(self, x: float) -> float:
         return float(self.values(np.array([x], dtype=np.float64))[0])
@@ -372,29 +518,53 @@ def antiderivative(fn, x0: float,
     return Antiderivative(fn, x0, cfg)
 
 
+class _Weighted:
+    """The integrand t -> g(t) * exp(scale * F(t)) of weighted_cumulative.
+
+    Calls are masked: a node where g or F fails, or where the exponential
+    or the product leaves double range, reads NaN or inf. ``_error_at``
+    names which of these happened at a node.
+    """
+
+    def __init__(self, g, F: Antiderivative, scale: float):
+        self._g = g
+        self._gm = as_array_fn(g, masked=True)
+        self._F = F
+        self._scale = scale
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        z = self._scale * self._F.values(ts, masked=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._gm(ts) * np.exp(z)
+
+    def _error_at(self, t: float) -> EvalError | None:
+        ts = np.array([t])
+        z = self._scale * float(self._F.values(ts, masked=True)[0])
+        if math.isnan(z):
+            return self._F._error_at(t)
+        if z > EXP_MAX:
+            return EvalOverflowError(
+                "exp(scale * F) overflows inside the weighted integrand", t)
+        if not math.isfinite(self._gm(ts)[0]):
+            return _node_error(self._g, t)
+        if not math.isfinite(self(ts)[0]):
+            return EvalOverflowError(
+                "g * exp(scale * F) overflows inside the weighted integrand",
+                t)
+        return None
+
+
 def weighted_cumulative(g, F: Antiderivative, scale: float, x0: float,
                         cfg: QuadratureConfig | None = None) -> Antiderivative:
     """Antiderivative of t -> g(t) * exp(scale * F(t)) anchored at x0.
 
-    F must be anchored at the same x0. If the exponent scale*F(t) exceeds
-    the double-precision limit at some quadrature node, evaluation raises
-    EvalOverflowError naming that t.
+    F must be anchored at the same x0. A node where the exponential or the
+    product leaves double range fails its interval; the raising forms name
+    that node in an EvalOverflowError.
     """
     if not isinstance(F, Antiderivative):
         raise ParameterError("F must be an Antiderivative")
     if F.x0 != float(x0):
         raise ParameterError(
             f"F is anchored at {F.x0!r}, expected anchor {x0!r}")
-    gfn = as_array_fn(g)
-    scale = float(scale)
-
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        z = scale * F.values(ts)
-        over = z > EXP_MAX
-        if over.any():
-            t = float(ts[int(np.argmax(over))])
-            raise EvalOverflowError(
-                "exp(scale * F) overflows inside the weighted integrand", t)
-        return gfn(ts) * np.exp(z)
-
-    return Antiderivative(integrand, x0, cfg)
+    return Antiderivative(_Weighted(g, F, float(scale)), x0, cfg)

@@ -15,11 +15,13 @@ exponential class.
 
 A ClosedFormSolution evaluates lazily and tracks the maximal interval
 around x0 on which its formula stays defined (power bases positive, log
-arguments positive, exponentials within double range). Probing happens on
-demand: querying or sampling a window evaluates a probe grid in batches,
-and the first failing probe brackets a boundary that bisection then
-locates to within 1e-10. Constructors perform no integration themselves
-and are cheap.
+arguments positive, exponentials within double range, antiderivatives
+defined). Each formula evaluates a whole array at once and reports which
+points failed, with the cause of the first. Probing happens on demand:
+querying or sampling a window evaluates a grid of 257 probes in one call,
+and the bracket around the first failing probe is cut into 32 sections
+per round, again in one call, until it is narrower than 1e-10.
+Constructors perform no integration themselves and are cheap.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ import threading
 import numpy as np
 
 from ._backend import EXP_MAX, is_integer_valued, pow_scalar
-from .errors import (ConvergenceError, EvalDomainError, EvalError,
-                     EvalOverflowError, NoOverlapError, OutsideValidityError,
-                     ParameterError)
+from .errors import (EvalDomainError, EvalOverflowError, NoOverlapError,
+                     OutsideValidityError, ParameterError)
 from .quad import Antiderivative, QuadratureConfig, as_array_fn, \
     weighted_cumulative
 
@@ -55,9 +56,10 @@ __all__ = [
     "solve_second_order_ivp",
 ]
 
-_BOUNDARY_WIDTH = 1e-10   # bisection stops once the bracket is this narrow
+_BOUNDARY_WIDTH = 1e-10   # sectioning stops once the bracket is this narrow
 _IC_RTOL = 1e-12          # initial-condition exactness target
 _PROBES = 257             # validity probe points per freshly explored window
+_SECTIONS = 32            # sections per round of the boundary search
 
 
 class EquationClass(str, Enum):
@@ -142,13 +144,14 @@ def _check_beta(beta):
         raise ParameterError("beta must be finite and nonzero")
 
 
-def signed_power(base: float, expo: float) -> float:
+def signed_power(base: float, expo: float, x: float = math.nan) -> float:
     """Real-valued base**expo with the package-wide power semantics.
 
     Positive bases behave as usual, 0**positive is 0, and negative bases
     are only accepted for (numerically) integer exponents, with the sign
-    following the exponent's parity. A result outside double range raises
-    EvalOverflowError.
+    following the exponent's parity. A power with no real value raises
+    EvalDomainError, and one outside double range EvalOverflowError; both
+    name ``x``, the point the power is taken for.
     """
     try:
         r = pow_scalar(base, expo)
@@ -157,28 +160,50 @@ def signed_power(base: float, expo: float) -> float:
     if r is None:
         raise EvalDomainError(
             "zero base with a negative exponent" if base == 0.0 else
-            "negative base with a non-integer exponent", base)
+            "negative base with a non-integer exponent", x)
     if not math.isfinite(r):
-        raise EvalOverflowError("power outside double range", base)
+        raise EvalOverflowError("power outside double range", x)
     return r
 
 
-def _checked_exp(z: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    over = z > EXP_MAX
-    if over.any():
-        raise EvalOverflowError(
-            "exponential overflow in the closed form",
-            float(xs[int(np.argmax(over))]))
-    return np.exp(z)
+def _overflow(message: str):
+    return lambda x: EvalOverflowError(message, x)
 
 
-def _finite_or_overflow(vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _domain(message: str):
+    return lambda x: EvalDomainError(message, x)
+
+
+_EXP_OVERFLOW = _overflow("exponential overflow in the closed form")
+_BASE_ZERO = _domain("power base reached zero")
+_LOG_ZERO = _domain("log argument reached zero")
+_U_ZERO = _domain("transformed solution u reached zero")
+
+
+def _outcome(xs: np.ndarray, vals: np.ndarray, checks):
+    """A closed form's (values, bad, cause) at ``xs``.
+
+    ``checks`` are (mask, error) pairs in priority order, error(x) building
+    the typed error for a point of its mask. A point is bad where a mask
+    holds or its value is not finite. cause() builds the error of the first
+    bad point, the first check that holds there naming it; it is None when
+    no point is bad.
+    """
     bad = ~np.isfinite(vals)
-    if bad.any():
-        raise EvalOverflowError(
-            "closed form overflowed double range",
-            float(xs[int(np.argmax(bad))]))
-    return vals
+    for mask, _ in checks:
+        bad |= mask
+    if not bad.any():
+        return vals, bad, None
+    i = int(np.argmax(bad))
+    x = float(xs[i])
+
+    def cause():
+        for mask, error in checks:
+            if mask[i]:
+                return error(x)
+        return EvalOverflowError("closed form overflowed double range", x)
+
+    return vals, bad, cause
 
 
 @dataclass
@@ -200,6 +225,12 @@ class Interval:
 class ClosedFormSolution:
     """An evaluable closed-form solution with a lazily refined validity
     interval around its anchor x0.
+
+    ``evaluate(xs)`` returns (values, bad, cause): the formula at every
+    point of the array, a mask of the points where it failed, and a
+    function building the typed error of the first failed point (None when
+    none failed). It never raises for a point. An ``evaluate`` that returns
+    only the values marks its failed points with non-finite values.
 
     ``constants`` holds the free constants of the family as named floats.
     ``provenance`` is a one-line description of the instantiated formula.
@@ -225,6 +256,13 @@ class ClosedFormSolution:
         self._limit_note: str | None = None
         self._lock = threading.RLock()
 
+    def _masked(self, xs: np.ndarray):
+        """(values, bad, cause) of the formula at ``xs``."""
+        out = self._evaluate(xs)
+        if isinstance(out, tuple):
+            return out
+        return _outcome(xs, np.asarray(out, dtype=np.float64), ())
+
     @property
     def validity(self) -> Interval:
         return Interval(self._lo, self._hi)
@@ -234,53 +272,40 @@ class ClosedFormSolution:
         """What stopped the formula at the nearest located boundary."""
         return self._limit_note
 
-    def _ok(self, xs, note: bool = True) -> bool:
-        """Whether the formula is finite at ``xs``, a point or an array;
-        with ``note``, a failure's message becomes the limit note."""
-        try:
-            v = self._evaluate(np.atleast_1d(np.asarray(xs, dtype=np.float64)))
-        except (EvalError, ConvergenceError) as e:
-            if note:
-                self._limit_note = str(e)
-            return False
-        return bool(np.all(np.isfinite(v)))
-
-    def _bisect_boundary(self, good: float, bad: float) -> float:
-        while abs(bad - good) > _BOUNDARY_WIDTH:
-            mid = 0.5 * (good + bad)
-            if mid == good or mid == bad:
-                break
-            if self._ok(mid):
-                good = mid
-            else:
-                bad = mid
-        return 0.5 * (good + bad)
-
     def _explore(self, target: float):
-        """Probe from the probed end on target's side of x0 out to target."""
+        """Probe from the probed end on target's side of x0 out to target.
+
+        The probed end is known good. The first failing probe and the one
+        before it bracket the boundary; each round evaluates the bracket's
+        interior section points in one call and keeps the section around
+        its first failure. The failures of a batch are those of its points
+        alone, so no point needs a second look.
+        """
         up = target > self.x0
         pts = np.linspace(self._probed_hi if up else self._probed_lo,
                           target, _PROBES)
         end = target
-        if not self._ok(pts, note=False):
-            # pts[0] is known good. Bisect over batches for the first failing
-            # probe, keeping pts[:good] passing and pts[:bad] failing, so
-            # each round evaluates only pts[good:mid]. A probe that fails
-            # only as part of a batch is no boundary.
-            good, bad = 1, _PROBES
-            while bad - good > 1:
-                mid = (good + bad) // 2
-                if self._ok(pts[good:mid], note=False):
-                    good = mid
-                else:
-                    bad = mid
-            if not self._ok(float(pts[good])):
-                end = self._bisect_boundary(float(pts[good - 1]),
-                                            float(pts[good]))
-                if up:
-                    self._hi = end
-                else:
-                    self._lo = end
+        _, bad, cause = self._masked(pts)
+        if bad.any():
+            i = int(np.argmax(bad))
+            good, fail = float(pts[max(i - 1, 0)]), float(pts[i])
+            while abs(fail - good) > _BOUNDARY_WIDTH:
+                sec = np.linspace(good, fail, _SECTIONS + 1)[1:-1]
+                _, bad, c = self._masked(sec)
+                i = int(np.argmax(bad)) if bad.any() else sec.size
+                was = (good, fail)
+                if i > 0:
+                    good = float(sec[i - 1])
+                if i < sec.size:
+                    fail, cause = float(sec[i]), c
+                if (good, fail) == was:
+                    break  # the bracket is down to adjacent doubles
+            end = 0.5 * (good + fail)
+            self._limit_note = str(cause())
+            if up:
+                self._hi = end
+            else:
+                self._lo = end
         if up:
             self._probed_hi = end
         else:
@@ -289,8 +314,11 @@ class ClosedFormSolution:
     def ensure_validity(self, lo: float, hi: float):
         """Probe the window [lo, hi] and refine the validity interval.
 
-        Failures between probe points narrower than the probe spacing can
-        go unnoticed; boundaries that are found are located to 1e-10.
+        One call evaluates 257 probes on each side of x0 the window reaches
+        beyond the part probed before. Failures between probe points
+        narrower than the probe spacing can go unnoticed; a boundary that
+        is found is located to 1e-10 by 32-way sectioning, and the cause
+        at it becomes ``limit_note``.
         """
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ParameterError("validity window must be finite")
@@ -316,7 +344,10 @@ class ClosedFormSolution:
         if outside.any():
             raise OutsideValidityError(
                 float(xs[int(np.argmax(outside))]), (self._lo, self._hi))
-        return self._evaluate(xs)
+        vals, bad, cause = self._masked(xs)
+        if bad.any():
+            raise cause()
+        return vals
 
     def value(self, x: float) -> float:
         return float(self.values(np.array([x], dtype=np.float64))[0])
@@ -352,9 +383,14 @@ class ClosedFormSolution:
         A deliberately wrong solution, used to demonstrate that the
         verification checks catch defects.
         """
-        inner = self._evaluate
+        inner = self._masked
+
+        def evaluate(xs):
+            vals, bad, cause = inner(xs)
+            return vals + eps, bad, cause
+
         twin = ClosedFormSolution(
-            self.kind, lambda xs: inner(xs) + eps, self.x0,
+            self.kind, evaluate, self.x0,
             self.constants, self.provenance + f" (offset by {eps!r})",
             self.non_unique, self.case)
         twin._lo, twin._hi = self._lo, self._hi
@@ -379,9 +415,14 @@ def solve_linear_ivp(f, g, ic: InitialCondition,
     W = weighted_cumulative(g, F, 1.0, x0, cfg)
     C = float(ic.y0)
 
-    def evaluate(xs: np.ndarray) -> np.ndarray:
-        damp = _checked_exp(-F.values(xs), xs)
-        return _finite_or_overflow(damp * (W.values(xs) + C), xs)
+    def evaluate(xs: np.ndarray):
+        Fv = F.values(xs, masked=True)
+        Wv = W.values(xs, masked=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.exp(-Fv) * (Wv + C)
+        return _outcome(xs, vals, ((np.isnan(Fv), F._error_at),
+                                   (-Fv > EXP_MAX, _EXP_OVERFLOW),
+                                   (np.isnan(Wv), W._error_at)))
 
     return ClosedFormSolution(
         EquationClass.LINEAR, evaluate, x0, {"C": C},
@@ -428,20 +469,22 @@ def solve_bernoulli(f, g, alpha: float, ic: InitialCondition,
             "negative y0 needs an integer 1-alpha; no real branch otherwise")
 
     s_y = 1.0 if y0 > 0.0 else -1.0
-    C = signed_power(y0, om)
+    C = signed_power(y0, om, x0)
     s_b = 1.0 if C > 0.0 else -1.0
     expo = 1.0 / om
     F = Antiderivative(f, x0, cfg)
     W = weighted_cumulative(g, F, om, x0, cfg)
 
-    def evaluate(xs: np.ndarray) -> np.ndarray:
-        base = s_b * (om * W.values(xs) + C)
-        if (base <= 0.0).any():
-            raise EvalDomainError(
-                "power base reached zero",
-                float(xs[int(np.argmax(base <= 0.0))]))
-        damp = _checked_exp(-F.values(xs), xs)
-        return _finite_or_overflow(s_y * damp * base ** expo, xs)
+    def evaluate(xs: np.ndarray):
+        Wv = W.values(xs, masked=True)
+        Fv = F.values(xs, masked=True)
+        base = s_b * (om * Wv + C)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vals = s_y * np.exp(-Fv) * base ** expo
+        return _outcome(xs, vals, ((np.isnan(Wv), W._error_at),
+                                   (base <= 0.0, _BASE_ZERO),
+                                   (np.isnan(Fv), F._error_at),
+                                   (-Fv > EXP_MAX, _EXP_OVERFLOW)))
 
     return ClosedFormSolution(
         EquationClass.BERNOULLI, evaluate, x0, {"C": C},
@@ -466,23 +509,23 @@ def solve_bernoulli_via_linear(f, g, alpha: float, ic: InitialCondition,
     if ic.y0 < 0.0 and not is_integer_valued(om):
         raise ParameterError(
             "negative y0 needs an integer 1-alpha; no real branch otherwise")
-    u0 = signed_power(ic.y0, om)
+    u0 = signed_power(ic.y0, om, ic.x0)
     s_y = 1.0 if ic.y0 > 0.0 else -1.0
     s_u = 1.0 if u0 > 0.0 else -1.0
     expo = 1.0 / om
-    ffn = as_array_fn(f)
-    gfn = as_array_fn(g)
+    ffn = as_array_fn(f, masked=True)
+    gfn = as_array_fn(g, masked=True)
     u_sol = solve_linear_ivp(lambda t: om * ffn(t), lambda t: om * gfn(t),
                              InitialCondition(ic.x0, u0), cfg)
-    u_eval = u_sol._evaluate
+    u_eval = u_sol._masked
 
-    def evaluate(xs: np.ndarray) -> np.ndarray:
-        u = s_u * u_eval(xs)
-        if (u <= 0.0).any():
-            raise EvalDomainError(
-                "transformed solution u reached zero",
-                float(xs[int(np.argmax(u <= 0.0))]))
-        return _finite_or_overflow(s_y * u ** expo, xs)
+    def evaluate(xs: np.ndarray):
+        uv, u_bad, u_cause = u_eval(xs)
+        u = s_u * uv
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vals = s_y * u ** expo
+        return _outcome(xs, vals, ((u_bad, lambda x: u_cause()),
+                                   (u <= 0.0, _U_ZERO)))
 
     return ClosedFormSolution(
         EquationClass.BERNOULLI, evaluate, ic.x0, {"C": u0},
@@ -507,13 +550,15 @@ def solve_exp(f, g, beta: float, ic: InitialCondition,
     G = Antiderivative(g, x0, cfg)
     Wf = weighted_cumulative(f, G, beta, x0, cfg)
 
-    def evaluate(xs: np.ndarray) -> np.ndarray:
-        la = beta * Wf.values(xs) + C
-        if (la <= 0.0).any():
-            raise EvalDomainError(
-                "log argument reached zero",
-                float(xs[int(np.argmax(la <= 0.0))]))
-        return _finite_or_overflow(G.values(xs) - np.log(la) / beta, xs)
+    def evaluate(xs: np.ndarray):
+        Wv = Wf.values(xs, masked=True)
+        Gv = G.values(xs, masked=True)
+        la = beta * Wv + C
+        with np.errstate(invalid="ignore", divide="ignore"):
+            vals = Gv - np.log(la) / beta
+        return _outcome(xs, vals, ((np.isnan(Wv), Wf._error_at),
+                                   (la <= 0.0, _LOG_ZERO),
+                                   (np.isnan(Gv), G._error_at)))
 
     return ClosedFormSolution(
         EquationClass.EXP, evaluate, x0, {"C": C},
@@ -553,30 +598,40 @@ def solve_second_order(b: float, c: float, C1: float, C2: float,
     case, r1, r2 = _classify_roots(b, c)
     x0 = float(x0)
 
-    def exp_term(coef: float, rate: float, ts: np.ndarray,
-                 xs: np.ndarray) -> np.ndarray:
+    def exp_term(coef: float, rate: float, ts: np.ndarray):
+        """coef * e^(rate t), and where the exponential overflows."""
         if coef == 0.0:
-            return np.zeros(ts.shape)
-        return coef * _checked_exp(rate * ts, xs)
+            return np.zeros(ts.shape), np.zeros(ts.shape, bool)
+        z = rate * ts
+        with np.errstate(over="ignore"):
+            return coef * np.exp(z), z > EXP_MAX
 
     if case == "real":
-        def evaluate(xs: np.ndarray) -> np.ndarray:
+        def evaluate(xs: np.ndarray):
             ts = xs - x0
-            return _finite_or_overflow(
-                exp_term(C1, r1, ts, xs) + exp_term(C2, r2, ts, xs), xs)
+            a, over_a = exp_term(C1, r1, ts)
+            b, over_b = exp_term(C2, r2, ts)
+            with np.errstate(invalid="ignore"):
+                vals = a + b
+            return _outcome(xs, vals, ((over_a | over_b, _EXP_OVERFLOW),))
         note = (f"two distinct real rates {r1!r} and {r2!r}; C1 multiplies "
                 "the smaller rate")
     elif case == "repeated":
-        def evaluate(xs: np.ndarray) -> np.ndarray:
+        def evaluate(xs: np.ndarray):
             ts = xs - x0
-            return _finite_or_overflow(
-                (C1 + C2 * ts) * _checked_exp(r1 * ts, xs), xs)
+            e, over = exp_term(1.0, r1, ts)
+            with np.errstate(invalid="ignore"):
+                vals = (C1 + C2 * ts) * e
+            return _outcome(xs, vals, ((over, _EXP_OVERFLOW),))
         note = f"repeated real rate {r1!r} with a linear-in-x factor"
     else:
-        def evaluate(xs: np.ndarray) -> np.ndarray:
+        def evaluate(xs: np.ndarray):
             ts = xs - x0
+            e, over = exp_term(1.0, r1, ts)
             osc = C1 * np.cos(r2 * ts) + C2 * np.sin(r2 * ts)
-            return _finite_or_overflow(_checked_exp(r1 * ts, xs) * osc, xs)
+            with np.errstate(invalid="ignore"):
+                vals = e * osc
+            return _outcome(xs, vals, ((over, _EXP_OVERFLOW),))
         note = f"damped oscillation, rate {r1!r}, angular frequency {r2!r}"
 
     return ClosedFormSolution(

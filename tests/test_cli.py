@@ -350,3 +350,45 @@ def test_console_script_matches_in_process_run(tmp_path):
     _, expected, _ = invoke(INV_SOLVE_LINEAR)
     assert proc.stdout == expected
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("x0", ["0", "0.5"])
+def test_power_overflow_names_the_initial_point(x0):
+    # The failure is in C = y0^(1 - alpha), taken at x0; y0 is no point.
+    err = assert_clean_error(
+        ["solve", "--class", "bernoulli", "--f", "1", "--g", "1",
+         "--alpha", "-1", "--x0", x0, "--y0", "1e300", "--range", "0:1"], 2)
+    assert f"(at x={float(x0)!r})" in err
+    assert "1e+300" not in err
+
+
+def test_overflowing_weighted_integrand_ends_validity(tmp_path):
+    # y' + y = e^x, y(0) = 1 is cosh(x). Inside the closed form,
+    # W = integral of e^t * e^t leaves double range at ln(DBL_MAX)/2 while
+    # each factor stays finite. Such nodes once kept their panels splitting
+    # until memory ran out, so the run gets an address-space cap and a
+    # timeout: a regression fails here instead of taking the machine down.
+    script = (
+        "import resource, sys\n"
+        "cap = 1 << 30\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "from odeform.cli import main\n"
+        "sys.exit(main())\n")
+    argv = ["solve", "--class", "linear", "--f", "1", "--g", "exp(x)",
+            "--x0", "0", "--y0", "1", "--range", "0:800", "--format", "json"]
+    package_root = str(Path(odeform.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script] + argv,
+                          capture_output=True, text=True, timeout=120,
+                          cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    doc = json.loads(proc.stdout)
+    hi = doc["validity"]["hi"]
+    assert 354.0 < hi < 356.0
+    assert abs(hi - math.log(sys.float_info.max) / 2.0) < 0.5
+    rows = [(row["x"], row["y"]) for row in doc["samples"]]
+    assert max(x for x, _ in rows) < hi
+    for x, y in rows:
+        assert abs(y - math.cosh(x)) <= 1e-8 * math.cosh(x), x

@@ -11,6 +11,8 @@ import pytest
 from odeform import (
     Antiderivative,
     ConvergenceError,
+    EvalDomainError,
+    EvalError,
     EvalOverflowError,
     ParameterError,
     QuadratureConfig,
@@ -97,6 +99,52 @@ def test_divergent_integrand_raises_convergence_error():
     assert math.isfinite(err.estimate)
     assert err.error_estimate > 0.0
     assert "converge" in str(err)
+
+
+@pytest.mark.parametrize("bad, kind", [(np.inf, EvalOverflowError),
+                                       (np.nan, EvalDomainError)])
+def test_non_finite_integrand_raises_naming_a_node(bad, kind):
+    # A plain callable marks the points it cannot evaluate with inf or NaN;
+    # the integral must not come back as inf or NaN.
+    def fn(xs):
+        return np.where(xs > 0.5, bad, 1.0)
+
+    with pytest.raises(kind) as info:
+        integrate(fn, 0.0, 1.0)
+    assert 0.5 < info.value.x < 1.0
+    out = integrate_many(fn, [0.0, 0.0], [0.4, 1.0], masked=True)
+    assert abs(out[0] - 0.4) <= 1e-12 and math.isnan(out[1])
+
+
+def test_failed_intervals_leave_the_rest_of_the_batch_alone():
+    # log(x) fails below 0 and 1/x diverges at 0; the other intervals of
+    # the batch fail and succeed as they do alone, with the same values up
+    # to the last bits of the vectorized sums.
+    for text in ("log(x)", "1/x"):
+        fn = parse(text)
+        a = np.array([1.0, -1.0, 2.0, 0.0, 0.5])
+        b = np.array([2.0, 1.0, 3.0, 1.0, 4.0])
+        out = integrate_many(fn, a, b, masked=True)
+        alone = [integrate_many(fn, a[i:i + 1], b[i:i + 1], masked=True)[0]
+                 for i in range(a.size)]
+        alone = np.array(alone)
+        assert np.array_equal(np.isnan(out), np.isnan(alone)), text
+        assert np.allclose(out, alone, rtol=1e-14, atol=0.0, equal_nan=True)
+        assert np.isnan(out[1])
+        with pytest.raises((EvalError, ConvergenceError)):
+            integrate_many(fn, a, b)
+
+
+def test_antiderivative_is_undefined_past_a_failed_segment():
+    F = antiderivative(parse("sqrt(1-x)"), 0.0)
+    xs = np.array([0.5, 0.99, 1.5, 3.0, -2.0])
+    out = F.values(xs, masked=True)
+    assert np.all(np.isfinite(out[[0, 1, 4]]))
+    assert np.isnan(out[2]) and np.isnan(out[3])
+    with pytest.raises(EvalDomainError) as info:
+        F.values(xs)
+    assert "square root" in str(info.value) and info.value.x > 1.0
+    assert np.array_equal(F.values(xs[[0, 1, 4]]), out[[0, 1, 4]])
 
 
 def test_max_depth_limit_enforced():

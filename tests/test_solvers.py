@@ -4,15 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odeform import (
-    ClosedFormSolution,
     EquationClass,
     EquationSpec,
-    EvalDomainError,
     EvalOverflowError,
     InitialCondition,
     NoOverlapError,
+    OdeformError,
     OutsideValidityError,
     ParameterError,
     construct,
@@ -222,16 +223,46 @@ def test_exp_parameter_validation():
         solve_exp(parse("1"), parse("0"), 1.0, ic(0.0, -800.0))
 
 
-def test_failure_seen_only_in_a_batch_is_no_boundary():
-    def evaluate(xs):
-        if xs.size > 1 and xs.max() > 0.5:
-            raise EvalDomainError("fails only in a batch", float(xs.max()))
-        return np.ones(xs.shape)
+@pytest.mark.parametrize("f, g, cause", [
+    ("sqrt(1-x)", "sqrt(1-x)", "square root of a negative argument"),
+    ("1/(x-1)", "0", "did not converge"),
+])
+def test_quadrature_failure_boundaries_are_located(f, g, cause):
+    # A coefficient outside its domain, and an antiderivative that diverges,
+    # both end the validity interval at x = 1; the note names the cause.
+    sol = solve_linear_ivp(parse(f), parse(g), ic(0.0, 1.0))
+    sol.ensure_validity(-1.0, 2.0)
+    assert abs(sol.validity.hi - 1.0) <= 1e-8
+    assert sol.validity.lo == -math.inf
+    assert cause in sol.limit_note
+    xs = np.linspace(-1.0, sol.validity.hi - 1e-6, 9)
+    assert np.all(np.isfinite(sol.values(xs)))
 
-    sol = ClosedFormSolution(EquationClass.LINEAR, evaluate, 0.0, {}, "")
-    sol.ensure_validity(-1.0, 1.0)
-    assert (sol.validity.lo, sol.validity.hi) == (-math.inf, math.inf)
-    assert sol.limit_note is None
+
+BATCH_SOLUTIONS = {
+    "blow-up": lambda: solve_bernoulli(parse("0"), parse("1"), 2.0,
+                                       ic(0.0, 1.0)),
+    "coefficient domain": lambda: solve_linear_ivp(
+        parse("sqrt(1-x)"), parse("sqrt(1-x)"), ic(0.0, 1.0)),
+    "log argument": lambda: solve_exp(parse("1"), parse("0"), 1.0,
+                                      ic(0.0, 0.0)),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(sorted(BATCH_SOLUTIONS)),
+       xs=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=12))
+def test_bad_flags_do_not_depend_on_the_batch(kind, xs):
+    """A point fails in a batch exactly when it fails alone, so the
+    validity search never needs to look at a point twice."""
+    sol = BATCH_SOLUTIONS[kind]()
+    xs = np.array(xs)
+    _, bad, cause = sol._masked(xs)
+    alone = [bool(sol._masked(xs[i:i + 1])[1][0]) for i in range(xs.size)]
+    assert bad.tolist() == alone
+    assert (cause is None) == (not bad.any())
+    if bad.any():
+        assert isinstance(cause(), OdeformError)
 
 
 # ---------------------------------------------------------------------------
