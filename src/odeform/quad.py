@@ -5,14 +5,16 @@ Gauss rule for error estimation, refined by adaptive bisection. The engine
 is batch-oriented: integrate_many() advances every pending panel of every
 requested interval in one integrand call per refinement generation, so
 nested constructions (an antiderivative whose integrand queries another
-antiderivative) stay close to linear cost.
+antiderivative) stay close to linear cost. Each panel's rule sums are
+formed row by row, so an interval's result is the same bit for bit in any
+batch. Tolerances come from a QuadratureConfig only.
 
 Antiderivative realizes F(x) = integral of phi from x0 to x with F(x0) = 0
-exactly. It keeps a table of checkpoint values at fixed spacing and adds an
-adaptive tail from the nearest checkpoint below x, so the value at x is a
-pure function of x: query order and query history cannot change results.
-Cache extension happens under an internal lock; concurrent queries from
-multiple threads are safe.
+exactly. It keeps one signed table of checkpoint values at fixed spacing
+on both sides of x0 and adds an adaptive tail from the nearest checkpoint
+below x, so the value at x is a pure function of x: query order, query
+history and batching cannot change results. The table grows under an
+internal lock; concurrent queries from multiple threads are safe.
 
 Integrands only need to be Riemann integrable on bounded intervals; strict
 accuracy claims hold for piecewise-smooth ones. Panels that shrink to the
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -139,6 +141,12 @@ class QuadratureConfig:
 _DEFAULT_CFG = QuadratureConfig()
 
 
+def _share(cfg: QuadratureConfig, frac: float) -> QuadratureConfig:
+    """cfg with abs_tol cut to frac of it; a subnormal abs_tol that the cut
+    takes to 0 becomes the smallest positive double instead."""
+    return replace(cfg, abs_tol=max(frac * cfg.abs_tol, 5e-324))
+
+
 def as_array_fn(f, masked: bool = False):
     """Adapt an Expression or plain callable to a vectorized float64 map.
 
@@ -180,43 +188,48 @@ def _gk_panels(fn, pa, pb):
     mid = 0.5 * (pa + pb)
     pts = mid[:, None] + half[:, None] * _NODES[None, :]
     vals = fn(pts.ravel()).reshape(pts.shape)
-    # Every Kronrod weight is positive, so a non-finite node makes its
-    # panel's sum non-finite; only such panels are searched for the node.
-    resk_u = vals @ _WK
-    lost = None
-    if not math.isfinite(resk_u.sum()):
-        bad = ~np.isfinite(resk_u)
-        lost = np.where(bad, np.inf, np.nan)
-        rows = np.flatnonzero(bad)
-        nonfinite = ~np.isfinite(vals[rows])
-        has = nonfinite.any(axis=1)
-        lost[rows[has]] = pts[rows[has], np.argmax(nonfinite[has], axis=1)]
-        vals = np.where(bad[:, None], 0.0, vals)
-        resk_u = vals @ _WK
-    resg_u = vals @ _WG15
-    resabs = (np.abs(vals) @ _WK) * np.abs(half)
-    reskh = 0.5 * resk_u
-    resasc = (np.abs(vals - reskh[:, None]) @ _WK) * np.abs(half)
-    err = np.abs(resk_u - resg_u) * np.abs(half)
-    # Standard inflation of the raw |K - G| difference, which by itself can
-    # be an optimistic estimate on panels the rule only just resolves.
-    mask = (resasc > 0.0) & (err > 0.0)
-    scaled = np.minimum(1.0, (200.0 * err[mask] / resasc[mask]) ** 1.5)
-    err[mask] = resasc[mask] * scaled
-    # Round-off floor: once the estimate is dominated by 50*eps*int(|f|),
-    # subdividing cannot improve it, so such panels are reported saturated
-    # and the driver stops splitting them.
-    floor = 50.0 * _EPS * resabs
-    saturated = err <= floor
-    err = np.maximum(err, floor)
-    if not math.isfinite(err.sum()):
-        if lost is None:
-            lost = np.full(pa.shape, np.nan)
-        lost[np.isnan(lost) & ~np.isfinite(err)] = np.inf
-    return resk_u * half, err, saturated, lost
+    # Sums that leave double range are caught below, not warned about. The
+    # rule sums are einsum row by row, never BLAS mat-vecs, whose rounding
+    # depends on the shape of the whole batch.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Every Kronrod weight is positive, so a non-finite node makes its
+        # panel's sum non-finite; only such panels are searched for it.
+        resk_u = np.einsum("ij,j->i", vals, _WK)
+        lost = None
+        if not math.isfinite(resk_u.sum()):
+            bad = ~np.isfinite(resk_u)
+            lost = np.where(bad, np.inf, np.nan)
+            rows = np.flatnonzero(bad)
+            nonfinite = ~np.isfinite(vals[rows])
+            has = nonfinite.any(axis=1)
+            lost[rows[has]] = pts[rows[has], np.argmax(nonfinite[has], 1)]
+            vals = np.where(bad[:, None], 0.0, vals)
+            resk_u = np.einsum("ij,j->i", vals, _WK)
+        resg_u = np.einsum("ij,j->i", vals, _WG15)
+        resabs = np.einsum("ij,j->i", np.abs(vals), _WK) * np.abs(half)
+        dev = np.abs(vals - 0.5 * resk_u[:, None])
+        resasc = np.einsum("ij,j->i", dev, _WK) * np.abs(half)
+        err = np.abs(resk_u - resg_u) * np.abs(half)
+        # Standard inflation of the raw |K - G| difference, which by itself
+        # can be an optimistic estimate on panels the rule only just
+        # resolves.
+        mask = (resasc > 0.0) & (err > 0.0)
+        scaled = np.minimum(1.0, (200.0 * err[mask] / resasc[mask]) ** 1.5)
+        err[mask] = resasc[mask] * scaled
+        # Round-off floor: once the estimate is dominated by
+        # 50*eps*int(|f|), subdividing cannot improve it, so such panels
+        # are reported saturated and the driver stops splitting them.
+        floor = 50.0 * _EPS * resabs
+        saturated = err <= floor
+        err = np.maximum(err, floor)
+        if not math.isfinite(err.sum()):
+            if lost is None:
+                lost = np.full(pa.shape, np.nan)
+            lost[np.isnan(lost) & ~np.isfinite(err)] = np.inf
+        return resk_u * half, err, saturated, lost
 
 
-def _integrate(fn, a, b, cfg, atol, rtol):
+def _integrate(fn, a, b, cfg):
     """Masked core of integrate_many; ``fn`` returns non-finite values at
     the nodes it cannot evaluate. Returns per interval (estimate, error
     estimate, node, failed): node is the first node where fn was not
@@ -255,7 +268,7 @@ def _integrate(fn, a, b, cfg, atol, rtol):
             iv, pa, pb = iv[live], pa[live], pb[live]
             val, err, saturated = val[live], err[live], saturated[live]
         est = total + np.bincount(iv, weights=val, minlength=n)
-        tol_iv = np.maximum(atol, rtol * np.abs(est))[iv]
+        tol_iv = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(est))[iv]
         share = tol_iv * (pb - pa) / width[iv]
         tiny = (pb - pa) <= 100.0 * _EPS * np.maximum(
             1.0, np.maximum(np.abs(pa), np.abs(pb)))
@@ -279,7 +292,7 @@ def _integrate(fn, a, b, cfg, atol, rtol):
         pb = np.stack([mids, pb[keep]], axis=1).ravel()
         depth += 1
 
-    tol_final = np.maximum(atol, rtol * np.abs(total))
+    tol_final = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
     failed = etotal > tol_final
     if node is not None or not math.isfinite(total.sum()):
         failed |= ~np.isfinite(total)
@@ -313,10 +326,9 @@ def _failure(fn, a: float, b: float, est: float, err: float,
 
 
 def integrate_many(fn, a, b, cfg: QuadratureConfig | None = None, *,
-                   abs_tol: float | None = None,
-                   rel_tol: float | None = None,
                    masked: bool = False) -> np.ndarray:
-    """Integrate ``fn`` over each interval [a[i], b[i]] adaptively.
+    """Integrate ``fn`` over each interval [a[i], b[i]] adaptively, to the
+    tolerances of ``cfg`` (the defaults when None).
 
     Reversed intervals integrate the ordered interval and negate, so the
     result is exactly antisymmetric under swapping bounds. Zero-width
@@ -325,16 +337,14 @@ def integrate_many(fn, a, b, cfg: QuadratureConfig | None = None, *,
     a failed interval reads NaN instead.
     """
     cfg = cfg or _DEFAULT_CFG
-    atol = cfg.abs_tol if abs_tol is None else abs_tol
-    rtol = cfg.rel_tol if rel_tol is None else rel_tol
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))
     b = np.atleast_1d(np.asarray(b, dtype=np.float64))
     if a.shape != b.shape or a.ndim != 1:
         raise ParameterError("bounds must be 1-D arrays of equal length")
     if a.size and not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ParameterError("integration bounds must be finite")
-    est, err, node, failed = _integrate(as_array_fn(fn, masked=True), a, b,
-                                        cfg, atol, rtol)
+    masked_fn = as_array_fn(fn, masked=True)
+    est, err, node, failed = _integrate(masked_fn, a, b, cfg)
     if not failed.any():
         return est
     if masked:
@@ -355,11 +365,12 @@ def integrate(fn, a: float, b: float,
 class Antiderivative:
     """F(x) = integral of phi from x0 to x, with F(x0) = 0.0 exactly.
 
-    Checkpoint values accumulate at x0 + k*spacing for whatever k range the
-    queries touch; each query is the nearest checkpoint at or below x plus
-    an adaptive tail shorter than one spacing. Checkpoint segments run at a
-    small fraction of the configured tolerance so chains of them do not
-    erode the overall budget.
+    One signed table holds F at x0 + k*spacing for k = kmin .. kmax, the
+    range the queries have touched so far; it grows outward from x0 on
+    either side, one checkpoint segment per spacing. Each query is the
+    nearest checkpoint at or below x plus an adaptive tail shorter than one
+    spacing. Checkpoint segments run at a small fraction of the configured
+    abs_tol so chains of them do not erode the overall budget.
 
     A failed checkpoint segment makes its checkpoint NaN, and so every
     checkpoint beyond it: F is undefined past the first point where it
@@ -373,13 +384,15 @@ class Antiderivative:
     def __init__(self, fn, x0: float, cfg: QuadratureConfig | None = None):
         self._src = fn
         masked = as_array_fn(fn, masked=True)
-        self._cfg = cfg or _DEFAULT_CFG
-        self._h = self._cfg.checkpoint_spacing or _DEFAULT_SPACING
+        cfg = cfg or _DEFAULT_CFG
+        self._h = cfg.checkpoint_spacing or _DEFAULT_SPACING
+        self._seg_cfg = _share(cfg, _SEGMENT_TOL)
+        self._tail_cfg = _share(cfg, _TAIL_TOL)
         if not np.isfinite(x0):
             raise ParameterError("anchor x0 must be finite")
         self._x0 = float(x0)
-        self._pos = [0.0]   # F at x0 + k*h, k = 0 .. len-1
-        self._neg = [0.0]   # F at x0 - k*h
+        self._tab = np.zeros(1)  # F at x0 + k*h, k = _kmin .. _kmin+len-1
+        self._kmin = 0
         self._lock = threading.RLock()
         self.eval_count = 0
 
@@ -400,39 +413,24 @@ class Antiderivative:
     def checkpoints(self) -> list[tuple[float, float]]:
         """Materialized (x, F(x)) pairs, strictly increasing in x."""
         with self._lock:
-            left = [(self._x0 - k * self._h, v)
-                    for k, v in enumerate(self._neg)]
-            right = [(self._x0 + k * self._h, v)
-                     for k, v in enumerate(self._pos)]
-        return left[:0:-1] + right
+            ks = np.arange(self._kmin, self._kmin + self._tab.size)
+            tab = self._tab
+        return list(zip((self._x0 + ks * self._h).tolist(), tab.tolist()))
 
-    def _extend(self, kmin: int, kmax: int):
-        # requires self._lock held
-        if kmax - kmin > _MAX_SEGMENTS:
-            raise ParameterError(
-                "query span requires more checkpoint segments than allowed")
-        if kmax >= len(self._pos):
-            first = len(self._pos) - 1
-            ks = np.arange(first, kmax)
-            lo = self._x0 + ks * self._h
-            segs = integrate_many(self._fn, lo, lo + self._h, self._cfg,
-                                  abs_tol=_SEGMENT_TOL * self._cfg.abs_tol,
-                                  masked=True)
-            acc = self._pos[-1]
-            for s in segs:
-                acc += s
-                self._pos.append(acc)
-        if -kmin >= len(self._neg):
-            first = len(self._neg) - 1
-            ks = np.arange(first, -kmin)
-            hi = self._x0 - ks * self._h
-            segs = integrate_many(self._fn, hi - self._h, hi, self._cfg,
-                                  abs_tol=_SEGMENT_TOL * self._cfg.abs_tol,
-                                  masked=True)
-            acc = self._neg[-1]
-            for s in segs:
-                acc -= s
-                self._neg.append(acc)
+    def _grow(self, k_from: int, k_to: int):
+        """Extend the table from its end k_from out to k_to, one segment
+        per step away from x0 (requires self._lock held)."""
+        step = 1 if k_to > k_from else -1
+        start = self._x0 + np.arange(k_from, k_to, step) * self._h
+        segs = integrate_many(self._fn, start, start + step * self._h,
+                              self._seg_cfg, masked=True)
+        first = self._tab[k_from - self._kmin]
+        acc = np.add.accumulate(np.concatenate(([first], segs)))[1:]
+        if step > 0:
+            self._tab = np.concatenate((self._tab, acc))
+        else:
+            self._tab = np.concatenate((acc[::-1], self._tab))
+            self._kmin = k_to
 
     def values(self, xs, *, masked: bool = False) -> np.ndarray:
         """F at a 1-D array of points, any order.
@@ -449,23 +447,24 @@ class Antiderivative:
             raise ValueError("query points must be finite")
         with self._lock:
             ks_f = np.floor((xs - self._x0) / self._h)
-            if np.max(np.abs(ks_f)) >= _MAX_SEGMENTS:
+            kmin = self._kmin
+            kmax = kmin + self._tab.size - 1
+            if (max(ks_f.max(), kmax) - min(ks_f.min(), kmin)
+                    > _MAX_SEGMENTS):
                 raise ParameterError(
                     "query span requires more checkpoint segments than "
                     "allowed; use a larger checkpoint_spacing")
             ks = ks_f.astype(np.int64)
-            self._extend(int(ks.min()), int(ks.max()))
-            pos = np.asarray(self._pos)
-            neg = np.asarray(self._neg)
-            out = np.where(ks >= 0,
-                           pos[np.maximum(ks, 0)],
-                           neg[np.maximum(-ks, 0)])
+            if ks.max() > kmax:
+                self._grow(kmax, int(ks.max()))
+            if ks.min() < kmin:
+                self._grow(kmin, int(ks.min()))
+            out = self._tab[ks - self._kmin]
             ck = self._x0 + ks * self._h
             if math.isnan(out.sum()):
                 dead = np.isnan(out)
                 ck[dead] = xs[dead]  # F is NaN there: no tail to integrate
-            out += integrate_many(self._fn, ck, xs, self._cfg,
-                                  abs_tol=_TAIL_TOL * self._cfg.abs_tol,
+            out += integrate_many(self._fn, ck, xs, self._tail_cfg,
                                   masked=True)
         if not masked:
             bad = np.isnan(out)
@@ -476,28 +475,24 @@ class Antiderivative:
     def _error_at(self, x: float) -> EvalError:
         """The typed error of F at a point x where it is NaN: the integral
         that failed on the way to x is run again on its own."""
-        h, cfg = self._h, self._cfg
+        h = self._h
         k = int(np.floor((x - self._x0) / h))
+        step = 1 if k >= 0 else -1
+        ks = np.arange(0, k + step, step)  # x0 outward to x's checkpoint
         with self._lock:
-            side = self._pos if k >= 0 else self._neg
-            lost = np.isnan(side[:abs(k) + 1])
+            lost = np.isnan(self._tab[ks - self._kmin])
         if lost.any():
             # The segment that made the first NaN checkpoint, with the
-            # bounds _extend gave it.
-            j = int(np.argmax(lost)) - 1
-            if k >= 0:
-                a = self._x0 + j * h
-                b = a + h
-            else:
-                b = self._x0 - j * h
-                a = b - h
-            atol = _SEGMENT_TOL * cfg.abs_tol
+            # bounds _grow gave it, in order.
+            s = self._x0 + int(ks[np.argmax(lost) - 1]) * h
+            a, b = sorted((s, s + step * h))
+            cfg = self._seg_cfg
         else:
             a, b = self._x0 + k * h, x
-            atol = _TAIL_TOL * cfg.abs_tol
+            cfg = self._tail_cfg
         est, err, node, failed = _integrate(
             as_array_fn(self._src, masked=True), np.array([a]),
-            np.array([b]), cfg, atol, cfg.rel_tol)
+            np.array([b]), cfg)
         if not failed[0]:
             return EvalDomainError("antiderivative is not finite", x)
         return _failure(self._src, a, b, float(est[0]), float(err[0]),

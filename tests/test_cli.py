@@ -384,6 +384,7 @@ def test_overflowing_weighted_integrand_ends_validity(tmp_path):
                           capture_output=True, text=True, timeout=120,
                           cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr == ""  # no numpy warning about the overflow
     doc = json.loads(proc.stdout)
     hi = doc["validity"]["hi"]
     assert 354.0 < hi < 356.0

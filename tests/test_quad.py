@@ -20,6 +20,7 @@ from odeform import (
     integrate,
     integrate_many,
     parse,
+    quad,
     weighted_cumulative,
 )
 
@@ -118,8 +119,8 @@ def test_non_finite_integrand_raises_naming_a_node(bad, kind):
 
 def test_failed_intervals_leave_the_rest_of_the_batch_alone():
     # log(x) fails below 0 and 1/x diverges at 0; the other intervals of
-    # the batch fail and succeed as they do alone, with the same values up
-    # to the last bits of the vectorized sums.
+    # the batch fail and succeed as they do alone, with the same values
+    # bit for bit.
     for text in ("log(x)", "1/x"):
         fn = parse(text)
         a = np.array([1.0, -1.0, 2.0, 0.0, 0.5])
@@ -129,7 +130,7 @@ def test_failed_intervals_leave_the_rest_of_the_batch_alone():
                  for i in range(a.size)]
         alone = np.array(alone)
         assert np.array_equal(np.isnan(out), np.isnan(alone)), text
-        assert np.allclose(out, alone, rtol=1e-14, atol=0.0, equal_nan=True)
+        assert np.array_equal(out, alone, equal_nan=True), text
         assert np.isnan(out[1])
         with pytest.raises((EvalError, ConvergenceError)):
             integrate_many(fn, a, b)
@@ -147,6 +148,23 @@ def test_antiderivative_is_undefined_past_a_failed_segment():
     assert np.array_equal(F.values(xs[[0, 1, 4]]), out[[0, 1, 4]])
 
 
+def test_failed_segment_names_its_ordered_interval_on_either_side():
+    # 1/x diverges at 0, which a checkpoint segment straddles whether the
+    # table grows right (anchor -0.3) or left (anchor 0.3) to reach it.
+    fn = parse("1/x")
+    seg_cfg = QuadratureConfig(abs_tol=quad._SEGMENT_TOL * 1e-10)
+    for x0, x in ((-0.3, 1.0), (0.3, -1.0)):
+        with pytest.raises(ConvergenceError) as info:
+            antiderivative(fn, x0).value(x)
+        a, b = info.value.interval
+        assert a < 0.0 < b, x0
+        # The same error as the segment run forward on its own.
+        with pytest.raises(ConvergenceError) as alone:
+            integrate(fn, a, b, seg_cfg)
+        assert info.value.estimate == alone.value.estimate, x0
+        assert info.value.error_estimate == alone.value.error_estimate, x0
+
+
 def test_max_depth_limit_enforced():
     cfg = QuadratureConfig(max_depth=1, abs_tol=1e-14, rel_tol=1e-14)
     with pytest.raises(ConvergenceError):
@@ -161,6 +179,13 @@ def test_nonsmooth_integrands_still_converge():
     exact = 0.5 + (math.log(1 + math.exp(-100)) -
                    math.log(1 + math.exp(100))) / 200.0 + 0.5
     assert abs(integrate(steep, 0.0, 1.0) - exact) <= 1e-8
+
+
+def test_subnormal_abs_tol_still_integrates():
+    # abs_tol/256 for the checkpoint segments rounds to 0 here; rel_tol
+    # alone then sets the tolerance.
+    F = antiderivative(parse("cos(x)"), 0.0, QuadratureConfig(abs_tol=1e-322))
+    assert abs(F.value(2.0) - math.sin(2.0)) <= 1e-9
 
 
 def test_config_validation():
@@ -226,6 +251,26 @@ def test_checkpoints_strictly_increasing():
         assert abs(v - (math.cos(0.5) - math.cos(x))) <= 1e-9
 
 
+def test_checkpoints_are_running_sums_of_single_segments():
+    """The table equals a loop adding one segment at a time, each
+    integrated alone, outward from x0 on both sides, bit for bit."""
+    fn = parse("exp(-x^2)*cos(3*x)")
+    x0 = 0.3
+    F = antiderivative(fn, x0)
+    F.values(np.array([-1.7, 2.3]))
+    h = F.spacing
+    seg_cfg = QuadratureConfig(abs_tol=quad._SEGMENT_TOL * 1e-10)
+    ks = [round((x - x0) / h) for x, _ in F.checkpoints()]
+    expected = {0: 0.0}
+    for step, k_end in ((1, max(ks)), (-1, min(ks))):
+        acc = 0.0
+        for k in range(0, k_end, step):
+            start = x0 + k * h
+            acc += integrate(fn, start, start + step * h, seg_cfg)
+            expected[k + step] = acc
+    assert [v for _, v in F.checkpoints()] == [expected[k] for k in ks]
+
+
 def test_derivative_recovery():
     """Centered differences of F recover the integrand at random points."""
     integrands = ["sin(x)", "exp(-x)", "1/(1+x^2)", "cos(3*x)", "x^3-2*x"]
@@ -278,6 +323,26 @@ def test_antiderivative_is_pure_function_of_x():
     assert np.array_equal(a, b)
 
 
+def test_table_is_independent_of_growth_order():
+    """Checkpoints grown by several two-sided queries equal those grown by
+    one, bit for bit, though their segments ran in other batches."""
+    fn = parse("exp(-x^2)*cos(3*x)")
+    one = antiderivative(fn, 0.3)
+    one.values(np.array([-3.7, 4.3]))
+    many = antiderivative(fn, 0.3)
+    for lo, hi in ((0.25, 1.0), (-2.0, 2.5), (-3.7, 4.3)):
+        many.values(np.array([lo, hi]))
+    assert len(one.checkpoints()) == 1025
+    assert one.checkpoints() == many.checkpoints()
+
+
+def test_value_matches_batched_values():
+    F = antiderivative(parse("exp(-x^2)*cos(3*x)"), 0.0)
+    xs = np.random.default_rng(3).uniform(-3.0, 3.0, 2000)
+    batch = F.values(xs)
+    assert np.array_equal(batch, [F.value(float(x)) for x in xs])
+
+
 def test_concurrent_queries_match_serial():
     serial = antiderivative(parse("cos(x)"), 0.0)
     grids = [np.linspace(-1.0 - 0.1 * i, 2.0 + 0.1 * i, 101)
@@ -288,7 +353,7 @@ def test_concurrent_queries_match_serial():
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
         got = list(pool.map(shared.values, grids))
     for e, g in zip(expected, got):
-        assert np.max(np.abs(e - g)) <= 2e-10
+        assert np.array_equal(e, g)
 
 
 def test_custom_checkpoint_spacing():

@@ -1,6 +1,7 @@
 """Tests for the closed-form constructors of all four equation classes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,17 @@ def test_quadrature_failure_boundaries_are_located(f, g, cause):
     assert cause in sol.limit_note
     xs = np.linspace(-1.0, sol.validity.hi - 1e-6, 9)
     assert np.all(np.isfinite(sol.values(xs)))
+
+
+def test_overflowing_quadrature_sums_raise_no_numpy_warning():
+    # W = integral of exp(t^2) * e^t leaves double range near t = 26.6;
+    # that ends the validity interval quietly, without a RuntimeWarning.
+    sol = solve_linear_ivp(parse("1"), parse("exp(x^2)"), ic(0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xs, ys = sol.sample(0.0, 40.0, 3)
+    assert 26.0 < sol.validity.hi < 27.0
+    assert np.all(np.isfinite(ys))
 
 
 BATCH_SOLUTIONS = {
