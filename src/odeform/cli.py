@@ -30,6 +30,8 @@ import math
 import re
 import sys
 
+import numpy as np
+
 from .errors import ExprSyntaxError, OdeformError
 from .expr import parse as parse_expr
 from .quad import QuadratureConfig
@@ -126,26 +128,22 @@ def _build_parser() -> _ArgumentParser:
     return root
 
 
+_CLASS_FLAGS = ("f", "g", "alpha", "beta", "b", "c", "yp0")
 _CLASS_NEEDS = {
     "linear": ("f", "g"),
     "bernoulli": ("f", "g", "alpha"),
     "exp": ("f", "g", "beta"),
     "second-order": ("b", "c", "yp0"),
 }
-_CLASS_REJECTS = {
-    "linear": ("alpha", "beta", "b", "c", "yp0"),
-    "bernoulli": ("beta", "b", "c", "yp0"),
-    "exp": ("alpha", "b", "c", "yp0"),
-    "second-order": ("f", "g", "alpha", "beta"),
-}
 
 
 def _make_spec(ns) -> tuple[EquationSpec, InitialCondition]:
-    for name in _CLASS_NEEDS[ns.klass]:
+    needs = _CLASS_NEEDS[ns.klass]
+    for name in needs:
         if getattr(ns, name) is None:
             raise UsageError(f"--class {ns.klass} requires --{name}")
-    for name in _CLASS_REJECTS[ns.klass]:
-        if getattr(ns, name) is not None:
+    for name in _CLASS_FLAGS:
+        if name not in needs and getattr(ns, name) is not None:
             raise UsageError(f"--{name} does not apply to --class {ns.klass}")
     lo, hi = ns.xrange
     if not (lo <= ns.x0 <= hi):
@@ -157,22 +155,15 @@ def _make_spec(ns) -> tuple[EquationSpec, InitialCondition]:
         if v is not None and not (math.isfinite(v) and 0.0 < v < 1.0):
             flag = "--" + name.replace("_", "-")
             raise UsageError(f"{flag} must be finite and in (0, 1), got {v!r}")
+    perturb = getattr(ns, "perturb", 0.0)
+    if not math.isfinite(perturb):
+        raise UsageError(f"--perturb must be finite, got {perturb!r}")
 
-    kind = EquationClass(ns.klass)
-    if kind == EquationClass.SECOND_ORDER:
-        spec = EquationSpec.second_order(ns.b, ns.c)
-        ic = InitialCondition(ns.x0, ns.y0, ns.yp0)
-    else:
-        f = parse_expr(ns.f)
-        g = parse_expr(ns.g)
-        if kind == EquationClass.LINEAR:
-            spec = EquationSpec.linear(f, g)
-        elif kind == EquationClass.BERNOULLI:
-            spec = EquationSpec.bernoulli(f, g, ns.alpha)
-        else:
-            spec = EquationSpec.exp_class(f, g, ns.beta)
-        ic = InitialCondition(ns.x0, ns.y0)
-    return spec, ic
+    f = None if ns.f is None else parse_expr(ns.f)
+    g = None if ns.g is None else parse_expr(ns.g)
+    spec = EquationSpec(EquationClass(ns.klass), f=f, g=g, alpha=ns.alpha,
+                        beta=ns.beta, b=ns.b, c=ns.c)
+    return spec, InitialCondition(ns.x0, ns.y0, ns.yp0)
 
 
 def _make_cfg(ns) -> QuadratureConfig:
@@ -312,7 +303,10 @@ def run(argv, out=None, err=None) -> int:
     err = sys.stderr if err is None else err
     try:
         ns = _build_parser().parse_args(argv)
-        text, code = _execute(ns)
+        # Every layer turns non-finite values into typed failures, so
+        # numpy's floating-point warnings would only repeat them on stderr.
+        with np.errstate(all="ignore"):
+            text, code = _execute(ns)
     except (UsageError, ExprSyntaxError) as e:
         print(f"error: {e}", file=err)
         return 1
@@ -322,8 +316,12 @@ def run(argv, out=None, err=None) -> int:
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: {e}", file=err)
+            return 1
     else:
         out.write(text)
     return code

@@ -42,7 +42,8 @@ class EvalOverflowError(EvalError):
 
 
 class ConvergenceError(OdeformError):
-    """Adaptive quadrature hit max_depth before meeting tolerance.
+    """Adaptive quadrature did not meet tolerance within its depth cap
+    (50 bisections) or its panel budget.
 
     Carries the last estimate so callers can still inspect it.
     """

@@ -14,13 +14,19 @@ atan (``log`` is the natural logarithm). Grammar, highest binding first::
 is ``-(x^2)`` and ``2^3^2`` is ``2^(3^2)``. There is no unary plus and no
 implicit multiplication; ``2x`` and ``2*+x`` are syntax errors.
 
-parse() builds an immutable Expression. Evaluation is reentrant, safe to
-call from multiple threads, and total: every point either yields a finite
-float or raises EvalDomainError / EvalOverflowError naming the offending x.
-NaN and infinity never propagate to callers, except through the opt-in
-``eval_many(xs, masked=True)``, which marks each failing point NaN. Powers
-with a negative base are real only for integer exponents; exponents within
-a relative 2^-52 of an integer are accepted as integers.
+parse() reads the text in one recursive-descent pass that emits the
+postfix tape as it goes, each rule appending its opcode after its
+operands' code (the one-pass scheme of Wirth, *Compiler Construction*,
+1996); no syntax tree is built. Nesting too deep for that recursion is a
+syntax error. The result is an immutable Expression.
+
+Evaluation is reentrant, safe to call from multiple threads, and total:
+every point either yields a finite float or raises EvalDomainError /
+EvalOverflowError naming the offending x. NaN and infinity never propagate
+to callers, except through the opt-in ``eval_many(xs, masked=True)``,
+which marks each failing point NaN. Powers with a negative base are real
+only for integer exponents; exponents within a relative 2^-52 of an
+integer are accepted as integers.
 """
 
 from __future__ import annotations
@@ -120,14 +126,15 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    # AST nodes are tuples:
-    #   ("const", value) | ("x",) | ("neg", a) | ("bin", op, a, b)
-    #   | ("fn", op, a)
+    """One-pass recursive descent from text to tape (see the module
+    docstring)."""
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.code: list[int] = []
+        self.cval: list[float] = []
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -140,50 +147,70 @@ class _Parser:
     def fail(self, tok: _Token, message: str):
         _syntax_error(self.text, tok.pos, message)
 
-    def parse(self):
-        node = self.expr()
+    def emit(self, op: int, value: float = 0.0):
+        self.code.append(op)
+        self.cval.append(value)
+
+    def parse(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(code, cval, need): the tape and the stack depth it needs."""
+        try:
+            self.expr()
+        except RecursionError:
+            self.fail(self.peek(), "expression nests too deeply")
         tok = self.peek()
         if tok.kind != "end":
             self.fail(tok, f"unexpected {tok.text!r}")
-        return node
+        depth = 0
+        need = 0
+        for op in self.code:
+            if op in (OP_CONST, OP_X):
+                depth += 1
+                need = max(need, depth)
+            elif OP_ADD <= op <= OP_POW:
+                depth -= 1
+        return (np.asarray(self.code, dtype=np.int64),
+                np.asarray(self.cval, dtype=np.float64),
+                need)
 
     def expr(self):
-        node = self.term()
+        self.term()
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.text in "+-":
                 self.advance()
-                rhs = self.term()
-                node = ("bin", OP_ADD if tok.text == "+" else OP_SUB, node, rhs)
+                self.term()
+                self.emit(OP_ADD if tok.text == "+" else OP_SUB)
             else:
-                return node
+                return
 
     def term(self):
-        node = self.factor()
+        self.factor()
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.text in "*/":
                 self.advance()
-                rhs = self.factor()
-                node = ("bin", OP_MUL if tok.text == "*" else OP_DIV, node, rhs)
+                self.factor()
+                self.emit(OP_MUL if tok.text == "*" else OP_DIV)
             else:
-                return node
+                return
 
     def factor(self):
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return ("neg", self.factor())
-        return self.power()
+            self.factor()
+            self.emit(OP_NEG)
+        else:
+            self.power()
 
     def power(self):
-        node = self.atom()
+        self.atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
             # right-associative; the exponent may carry a unary minus
-            return ("bin", OP_POW, node, self.factor())
-        return node
+            self.factor()
+            self.emit(OP_POW)
 
     def atom(self):
         tok = self.advance()
@@ -191,73 +218,36 @@ class _Parser:
             value = float(tok.text)
             if not np.isfinite(value):
                 self.fail(tok, f"number constant {tok.text!r} overflows")
-            return ("const", value)
+            self.emit(OP_CONST, value)
+            return
         if tok.kind == "name":
             if tok.text == "x":
-                return ("x",)
+                self.emit(OP_X)
+                return
             if tok.text in _FUNCTIONS:
                 opening = self.peek()
                 if opening.kind != "lparen":
                     self.fail(opening,
                               f"expected '(' after function {tok.text!r}")
                 self.advance()
-                arg = self.expr()
+                self.expr()
                 closing = self.peek()
                 if closing.kind != "rparen":
                     self.fail(closing, "expected ')'")
                 self.advance()
-                return ("fn", _FUNCTIONS[tok.text], arg)
+                self.emit(_FUNCTIONS[tok.text])
+                return
             self.fail(tok, f"unknown identifier {tok.text!r}")
         if tok.kind == "lparen":
-            node = self.expr()
+            self.expr()
             closing = self.peek()
             if closing.kind != "rparen":
                 self.fail(closing, "expected ')'")
             self.advance()
-            return node
+            return
         if tok.kind == "end":
             self.fail(tok, "unexpected end of input")
         self.fail(tok, f"unexpected {tok.text!r}")
-
-
-def _compile(node) -> tuple[np.ndarray, np.ndarray, int]:
-    code: list[int] = []
-    cval: list[float] = []
-
-    def emit(n):
-        kind = n[0]
-        if kind == "const":
-            code.append(OP_CONST)
-            cval.append(n[1])
-        elif kind == "x":
-            code.append(OP_X)
-            cval.append(0.0)
-        elif kind == "neg":
-            emit(n[1])
-            code.append(OP_NEG)
-            cval.append(0.0)
-        elif kind == "fn":
-            emit(n[2])
-            code.append(n[1])
-            cval.append(0.0)
-        else:
-            emit(n[2])
-            emit(n[3])
-            code.append(n[1])
-            cval.append(0.0)
-
-    emit(node)
-    depth = 0
-    need = 0
-    for op in code:
-        if op in (OP_CONST, OP_X):
-            depth += 1
-            need = max(need, depth)
-        elif OP_ADD <= op <= OP_POW:
-            depth -= 1
-    return (np.asarray(code, dtype=np.int64),
-            np.asarray(cval, dtype=np.float64),
-            need)
 
 
 class Expression:
@@ -320,6 +310,4 @@ def parse(text: str) -> Expression:
         raise TypeError("expression must be a string")
     if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    node = _Parser(text).parse()
-    code, cval, need = _compile(node)
-    return Expression(text, code, cval, need)
+    return Expression(text, *_Parser(text).parse())

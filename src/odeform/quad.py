@@ -10,11 +10,13 @@ formed row by row, so an interval's result is the same bit for bit in any
 batch. Tolerances come from a QuadratureConfig only.
 
 Antiderivative realizes F(x) = integral of phi from x0 to x with F(x0) = 0
-exactly. It keeps one signed table of checkpoint values at fixed spacing
-on both sides of x0 and adds an adaptive tail from the nearest checkpoint
-below x, so the value at x is a pure function of x: query order, query
-history and batching cannot change results. The table grows under an
-internal lock; concurrent queries from multiple threads are safe.
+exactly. It keeps one signed table of checkpoint values at the abscissae
+x0 + k*h on both sides of x0, each checkpoint segment running between two
+of those abscissae as computed, and adds an adaptive tail from the
+nearest checkpoint below x. So the value at x is a pure function of x:
+query order, query history and batching cannot change results, and the
+segments and tails meet exactly however large |x0| is. The table grows
+under an internal lock; concurrent queries from multiple threads are safe.
 
 Integrands only need to be Riemann integrable on bounded intervals; strict
 accuracy claims hold for piecewise-smooth ones. Panels that shrink to the
@@ -25,14 +27,16 @@ Failure is per interval, as QUADPACK reports it with a per-integral flag
 cannot evaluate with a non-finite value (an Expression does so through
 its tape statuses). An interval fails as soon as one of its nodes is not
 finite, and such a panel is never split; it also fails if it misses
-tolerance at max_depth or once it holds more than _PANEL_BUDGET panels at
-one depth. So an interval's result never depends on the other intervals
-of its batch. The masked forms (``masked=True``) return NaN for a failed
-interval, and an antiderivative is NaN past any failed checkpoint
-segment. The plain forms raise from the first failed point: the
-integrand's own typed error at the failing node, an EvalError for a node
-where a plain callable returned a non-finite value, or a
-ConvergenceError carrying the last estimate.
+tolerance after _MAX_DEPTH (50) bisections, a fixed cap, or once it holds
+more than _PANEL_BUDGET panels at one depth. So an interval's result never
+depends on the other intervals of its batch. The masked forms
+(``masked=True``) return NaN for a failed interval, and an antiderivative
+is NaN past any failed checkpoint segment. The plain forms raise from the
+first failed point: the integrand's own typed error at the failing node,
+an EvalError for a node where a plain callable returned a non-finite
+value, or a ConvergenceError carrying the last estimate. An antiderivative
+finds that error by running the one integral that failed again through
+integrate_many.
 """
 
 from __future__ import annotations
@@ -106,22 +110,23 @@ _EPS = np.finfo(np.float64).eps
 _DEFAULT_SPACING = 1.0 / 128.0
 _MAX_SEGMENTS = 1 << 21  # guard against runaway checkpoint tables
 _PANEL_BUDGET = 10_000   # per-interval cap on the panels it holds at a depth
+_MAX_DEPTH = 50          # bisections before an interval stops splitting
 _SEGMENT_TOL = 1.0 / 256.0  # checkpoint segments' share of abs_tol
 _TAIL_TOL = 0.25            # the tail's share of abs_tol
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and limits shared by the integration routines.
+    """Tolerances and checkpoint spacing shared by the integration routines.
 
     checkpoint_spacing of None means the default spacing (1/128, i.e. the
     working-range heuristic span/256 for a span of 2); the CLI passes
-    (hi - lo)/256 explicitly.
+    (hi - lo)/256 explicitly. The depth cap is the module constant
+    _MAX_DEPTH, not a setting.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_depth: int = 50
     checkpoint_spacing: float | None = None
 
     def __post_init__(self):
@@ -129,8 +134,6 @@ class QuadratureConfig:
             raise ParameterError("abs_tol must be a positive finite number")
         if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ParameterError("rel_tol must be a positive finite number")
-        if not (isinstance(self.max_depth, int) and self.max_depth >= 1):
-            raise ParameterError("max_depth must be an integer >= 1")
         if self.checkpoint_spacing is not None:
             if not (np.isfinite(self.checkpoint_spacing)
                     and self.checkpoint_spacing > 0):
@@ -185,7 +188,7 @@ def _gk_panels(fn, pa, pb):
     panel NaN for a fine one, the first node where fn is not finite, or
     inf for a panel whose estimate left double range."""
     half = 0.5 * (pb - pa)
-    mid = 0.5 * (pa + pb)
+    mid = 0.5 * pa + 0.5 * pb
     pts = mid[:, None] + half[:, None] * _NODES[None, :]
     vals = fn(pts.ravel()).reshape(pts.shape)
     # Sums that leave double range are caught below, not warned about. The
@@ -269,11 +272,11 @@ def _integrate(fn, a, b, cfg):
             val, err, saturated = val[live], err[live], saturated[live]
         est = total + np.bincount(iv, weights=val, minlength=n)
         tol_iv = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(est))[iv]
-        share = tol_iv * (pb - pa) / width[iv]
+        share = tol_iv * ((pb - pa) / width[iv])
         tiny = (pb - pa) <= 100.0 * _EPS * np.maximum(
             1.0, np.maximum(np.abs(pa), np.abs(pb)))
         done = (err <= share) | tiny | saturated
-        if depth >= cfg.max_depth:
+        if depth >= _MAX_DEPTH:
             done[:] = True
         elif iv.size > _PANEL_BUDGET and 2 ** depth > _PANEL_BUDGET:
             # Only from here on can one interval hold more panels than the
@@ -287,15 +290,13 @@ def _integrate(fn, a, b, cfg):
         if not keep.any():
             break
         iv = np.repeat(iv[keep], 2)
-        mids = 0.5 * (pa[keep] + pb[keep])
+        mids = 0.5 * pa[keep] + 0.5 * pb[keep]
         pa = np.stack([pa[keep], mids], axis=1).ravel()
         pb = np.stack([mids, pb[keep]], axis=1).ravel()
         depth += 1
 
     tol_final = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
-    failed = etotal > tol_final
-    if node is not None or not math.isfinite(total.sum()):
-        failed |= ~np.isfinite(total)
+    failed = (etotal > tol_final) | ~np.isfinite(total)
     if node is not None:
         node[np.isinf(node)] = np.nan  # lost to an overflow, not to a node
     return sign * total, etotal, node, failed
@@ -310,19 +311,6 @@ def _node_error(fn, t: float) -> EvalError:
     v = float(as_array_fn(fn, masked=True)(np.array([t]))[0])
     kind = EvalOverflowError if math.isinf(v) else EvalDomainError
     return kind(f"integrand returned {v!r}", t)
-
-
-def _failure(fn, a: float, b: float, est: float, err: float,
-             node: float | None, cfg: QuadratureConfig):
-    """The typed error of a failed interval [a, b]; ``node`` is its entry
-    of _integrate's node array (None if there is none)."""
-    if node is not None and not math.isnan(node):
-        return _node_error(fn, node)
-    if not math.isfinite(est):
-        return EvalOverflowError("integral outside double range", b)
-    return ConvergenceError(
-        f"quadrature did not converge within max_depth={cfg.max_depth}",
-        estimate=est, error_estimate=err, interval=(a, b))
 
 
 def integrate_many(fn, a, b, cfg: QuadratureConfig | None = None, *,
@@ -351,9 +339,14 @@ def integrate_many(fn, a, b, cfg: QuadratureConfig | None = None, *,
         est[failed] = np.nan
         return est
     i = int(np.argmax(failed))
-    raise _failure(fn, float(a[i]), float(b[i]), float(est[i]),
-                   float(err[i]), None if node is None else float(node[i]),
-                   cfg)
+    if node is not None and not math.isnan(node[i]):
+        raise _node_error(fn, float(node[i]))
+    if not math.isfinite(est[i]):
+        raise EvalOverflowError("integral outside double range", float(b[i]))
+    raise ConvergenceError(
+        f"quadrature did not converge within max_depth={_MAX_DEPTH}",
+        estimate=float(est[i]), error_estimate=float(err[i]),
+        interval=(float(a[i]), float(b[i])))
 
 
 def integrate(fn, a: float, b: float,
@@ -421,9 +414,9 @@ class Antiderivative:
         """Extend the table from its end k_from out to k_to, one segment
         per step away from x0 (requires self._lock held)."""
         step = 1 if k_to > k_from else -1
-        start = self._x0 + np.arange(k_from, k_to, step) * self._h
-        segs = integrate_many(self._fn, start, start + step * self._h,
-                              self._seg_cfg, masked=True)
+        ends = self._x0 + np.arange(k_from, k_to + step, step) * self._h
+        segs = integrate_many(self._fn, ends[:-1], ends[1:], self._seg_cfg,
+                              masked=True)
         first = self._tab[k_from - self._kmin]
         acc = np.add.accumulate(np.concatenate(([first], segs)))[1:]
         if step > 0:
@@ -461,8 +454,8 @@ class Antiderivative:
                 self._grow(kmin, int(ks.min()))
             out = self._tab[ks - self._kmin]
             ck = self._x0 + ks * self._h
-            if math.isnan(out.sum()):
-                dead = np.isnan(out)
+            dead = np.isnan(out)
+            if dead.any():
                 ck[dead] = xs[dead]  # F is NaN there: no tail to integrate
             out += integrate_many(self._fn, ck, xs, self._tail_cfg,
                                   masked=True)
@@ -484,19 +477,17 @@ class Antiderivative:
         if lost.any():
             # The segment that made the first NaN checkpoint, with the
             # bounds _grow gave it, in order.
-            s = self._x0 + int(ks[np.argmax(lost) - 1]) * h
-            a, b = sorted((s, s + step * h))
+            j = int(ks[np.argmax(lost) - 1])
+            a, b = sorted((self._x0 + j * h, self._x0 + (j + step) * h))
             cfg = self._seg_cfg
         else:
             a, b = self._x0 + k * h, x
             cfg = self._tail_cfg
-        est, err, node, failed = _integrate(
-            as_array_fn(self._src, masked=True), np.array([a]),
-            np.array([b]), cfg)
-        if not failed[0]:
-            return EvalDomainError("antiderivative is not finite", x)
-        return _failure(self._src, a, b, float(est[0]), float(err[0]),
-                        None if node is None else float(node[0]), cfg)
+        try:
+            integrate_many(self._src, a, b, cfg)
+        except (EvalError, ConvergenceError) as e:
+            return e
+        return EvalDomainError("antiderivative is not finite", x)
 
     def value(self, x: float) -> float:
         return float(self.values(np.array([x], dtype=np.float64))[0])
@@ -549,17 +540,13 @@ class _Weighted:
         return None
 
 
-def weighted_cumulative(g, F: Antiderivative, scale: float, x0: float,
+def weighted_cumulative(g, F: Antiderivative, scale: float,
                         cfg: QuadratureConfig | None = None) -> Antiderivative:
-    """Antiderivative of t -> g(t) * exp(scale * F(t)) anchored at x0.
+    """Antiderivative of t -> g(t) * exp(scale * F(t)), anchored where F is.
 
-    F must be anchored at the same x0. A node where the exponential or the
-    product leaves double range fails its interval; the raising forms name
-    that node in an EvalOverflowError.
+    A node where the exponential or the product leaves double range fails
+    its interval; the raising forms name that node in an EvalOverflowError.
     """
     if not isinstance(F, Antiderivative):
         raise ParameterError("F must be an Antiderivative")
-    if F.x0 != float(x0):
-        raise ParameterError(
-            f"F is anchored at {F.x0!r}, expected anchor {x0!r}")
-    return Antiderivative(_Weighted(g, F, float(scale)), x0, cfg)
+    return Antiderivative(_Weighted(g, F, float(scale)), F.x0, cfg)

@@ -211,16 +211,6 @@ class Interval:
     lo: float
     hi: float
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    def intersect(self, other: "Interval") -> "Interval":
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 class ClosedFormSolution:
     """An evaluable closed-form solution with a lazily refined validity
@@ -412,7 +402,7 @@ def solve_linear_ivp(f, g, ic: InitialCondition,
     """
     x0 = ic.x0
     F = Antiderivative(f, x0, cfg)
-    W = weighted_cumulative(g, F, 1.0, x0, cfg)
+    W = weighted_cumulative(g, F, 1.0, cfg)
     C = float(ic.y0)
 
     def evaluate(xs: np.ndarray):
@@ -473,7 +463,7 @@ def solve_bernoulli(f, g, alpha: float, ic: InitialCondition,
     s_b = 1.0 if C > 0.0 else -1.0
     expo = 1.0 / om
     F = Antiderivative(f, x0, cfg)
-    W = weighted_cumulative(g, F, om, x0, cfg)
+    W = weighted_cumulative(g, F, om, cfg)
 
     def evaluate(xs: np.ndarray):
         Wv = W.values(xs, masked=True)
@@ -548,7 +538,7 @@ def solve_exp(f, g, beta: float, ic: InitialCondition,
             "exp(-beta*y0) overflows; the initial condition is out of range")
     C = math.exp(z0)
     G = Antiderivative(g, x0, cfg)
-    Wf = weighted_cumulative(f, G, beta, x0, cfg)
+    Wf = weighted_cumulative(f, G, beta, cfg)
 
     def evaluate(xs: np.ndarray):
         Wv = Wf.values(xs, masked=True)

@@ -228,7 +228,9 @@ def _march(coefs, rhs, x0, y0, k0, targets, tol, counters):
     end = float(targets[-1])
     direction = 1.0 if end > x0 else -1.0
     span = abs(end - x0)
-    h = direction * span / 100.0
+    # span / 100 underflows to 0 on a span of a few subnormals, and a zero
+    # step never grows.
+    h = direction * span / 100.0 or end - x0
     hmin = 1e-13 * max(1.0, span)
     reach = [(t - x0) * direction for t in targets.tolist()]
     chunks = []
@@ -244,9 +246,11 @@ def _march(coefs, rhs, x0, y0, k0, targets, tol, counters):
         except OdeformError:
             ok = False
         if ok:
+            # q * q, not q ** 2: a float power raises OverflowError where a
+            # product reads inf, which rejects the step.
             enorm = math.sqrt(sum(
-                (e / (tol + tol * max(abs(a), abs(b)))) ** 2
-                for e, a, b in zip(err, y, y5)) / len(y))
+                q * q for q in (e / (tol + tol * max(abs(a), abs(b)))
+                                for e, a, b in zip(err, y, y5))) / len(y))
             if enorm <= 1.0:
                 counters["taken"] += 1
                 xn = end if last else x + h
@@ -478,15 +482,18 @@ def full_verify(spec: EquationSpec, ic: InitialCondition,
     """Construct the closed form and run every applicable check.
 
     The range is clipped to the discovered validity interval (noted in the
-    report). ``perturb`` offsets the constructed solution by a constant
-    before checking -- a diagnostic knob demonstrating that defects of that
-    size are caught. Stage failures raise StageError naming the stage.
+    report). ``perturb`` offsets the constructed solution by a finite
+    constant before checking -- a diagnostic knob demonstrating that
+    defects of that size are caught. Stage failures raise StageError
+    naming the stage.
     """
     lo, hi = float(xrange[0]), float(xrange[1])
     if not (lo < hi):
         raise ParameterError("need lo < hi")
     if not (lo <= ic.x0 <= hi):
         raise ParameterError("x0 must lie inside the range")
+    if not math.isfinite(perturb):
+        raise ParameterError("perturb must be finite")
 
     try:
         sol = construct(spec, ic, cfg)

@@ -167,6 +167,39 @@ def test_oracle_subcommand():
     assert abs(rows[-1][1] - math.e) <= 1e-8
 
 
+def test_oracle_json_matches_csv():
+    # sqrt(1-x) has no real value past 1, so the trajectory truncates there.
+    argv = ["oracle", "--class", "linear", "--f", "sqrt(1-x)", "--g", "0",
+            "--x0", "0", "--y0", "1", "--range", "0:2", "--samples", "5"]
+    code, csv_text, err = invoke(argv)
+    assert (code, err) == (0, "")
+    code, json_text, err = invoke(argv + ["--format", "json"])
+    assert (code, err) == (0, "")
+    doc = json.loads(json_text)
+    assert set(doc) == {"class", "parameters", "method", "steps",
+                        "truncated_at", "validity", "samples"}
+    meta = dict(ln[2:].split(": ", 1) for ln in csv_text.splitlines()
+                if ln.startswith("# "))
+    assert float(meta["truncated_at"]) == doc["truncated_at"]
+    assert 1.0 - 1e-9 <= doc["truncated_at"] <= 1.0
+    assert meta["steps"] == (f"taken={doc['steps']['taken']} "
+                             f"rejected={doc['steps']['rejected']}")
+    assert doc["validity"] == {"lo": 0.0, "hi": 2.0}
+    assert [(s["x"], s["y"]) for s in doc["samples"]] == csv_rows(csv_text)
+
+
+def test_verify_csv_note_matches_json():
+    # y' + y = y^2 with y(0) = 2 blows up at ln 2, inside the range.
+    argv = ["verify", "--class", "bernoulli", "--f", "1", "--g", "1",
+            "--alpha", "2", "--x0", "0", "--y0", "2", "--range", "0:1.7"]
+    code, csv_text, err = invoke(argv)
+    assert (code, err) == (0, "")
+    code, json_text, _ = invoke(argv + ["--format", "json"])
+    notes = [ln for ln in csv_text.splitlines() if ln.startswith("# note: ")]
+    assert notes == [f"# note: {json.loads(json_text)['note']}"]
+    assert "range clipped" in notes[0]
+
+
 def test_negative_range_bound_equals_form():
     code, out, err = invoke([
         "solve", "--class", "linear", "--f", "0", "--g", "1",
@@ -314,6 +347,90 @@ def test_bad_tolerance_flag_is_a_usage_error(data):
         [command, "--class", "linear", "--f", "1", "--g", "0", "--x0", "0",
          "--y0", "1", "--range", "0:1", f"{flag}={value!r}"], 1)
     assert flag in err
+
+
+_LINEAR = ["--class", "linear", "--f", "1", "--g", "0", "--x0", "0",
+           "--y0", "1", "--range", "0:1"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # q ** 2 of a Python float raised OverflowError in the oracle's error
+    # norm; the step is now rejected and the trajectory truncates.
+    (["oracle"] + _LINEAR + ["--oracle-tol", "1e-300"], 0),
+    (["verify"] + _LINEAR + ["--oracle-tol", "1e-300"], 2),
+    # Recursion: in the parser, and in the tree walk that built the tape.
+    (["solve", "--class", "linear", "--f", "(" * 300 + "x" + ")" * 300,
+      "--g", "0", "--x0", "0", "--y0", "1", "--range", "0:1"], 1),
+    (["solve", "--class", "linear", "--f", "+".join(["1"] * 3000),
+      "--g", "0", "--x0", "0", "--y0", "1", "--range", "0:1",
+      "--samples", "3"], 0),
+    # 0.5 * (pa + pb) overflowed to inf.
+    (["solve", "--class", "linear", "--f", "1", "--g", "0", "--x0=0",
+      "--y0=-1", "--range=0:1e308", "--samples", "17", "--abs-tol=0.5"], 0),
+    # numpy overflow warnings from the NaN test on the checkpoint table and
+    # from the tolerance share.
+    (["solve", "--class", "linear", "--f", "1", "--g", "exp(x)", "--x0", "0",
+      "--y0", "1", "--range", "0:400", "--samples", "9"], 0),
+    (["solve", "--class", "linear", "--f", "0", "--g", "1", "--x0", "1e300",
+      "--y0", "1", "--range", "1e300:1.0000000001e300"], 0),
+    (["verify"] + _LINEAR + ["--perturb", "inf"], 1),
+    (["verify"] + _LINEAR + ["--perturb", "nan"], 1),
+], ids=["oracle-tol-oracle", "oracle-tol-verify", "deep-nesting",
+        "long-sum", "huge-range", "table-nan-test", "huge-x0",
+        "perturb-inf", "perturb-nan"])
+def test_hostile_invocations_end_cleanly(argv, expected):
+    if expected:
+        assert_clean_error(argv, expected)
+        return
+    code, out, err = invoke(argv)
+    assert (code, err) == (0, "")
+    if "--oracle-tol" in argv:
+        assert "\n# truncated_at: " in out
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path):
+    target = str(tmp_path / "missing" / "x")
+    err = assert_clean_error(INV_SOLVE_LINEAR + ["--out", target], 1)
+    assert target in err
+
+
+_HOSTILE = ["0", "-0", "1e-300", "-1e-300", "5e-324", "1e300", "-1e300",
+            "1e308", "inf", "-inf", "nan", "700", "1e-9"]
+_CLASS_ARGS = {
+    "linear": ["--f=1", "--g=1"],
+    "bernoulli": ["--f=1", "--g=1", "--alpha"],
+    "exp": ["--f=1", "--g=1", "--beta"],
+    "second-order": ["--b", "--c", "--yp0"],
+}
+_OPTIONAL_FLAGS = {
+    "solve": ["--abs-tol", "--rel-tol"],
+    "verify": ["--abs-tol", "--rel-tol", "--check-tol", "--oracle-tol",
+               "--perturb"],
+    "oracle": ["--abs-tol", "--rel-tol", "--oracle-tol"],
+}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_hostile_numeric_flags_end_cleanly(data):
+    """Every numeric flag at an extreme or non-finite value, on every
+    subcommand and class: an exit code of the contract, one error line on
+    1 and 2, a silent stderr on 0 and 3, and nothing escapes run()."""
+    value = st.sampled_from(_HOSTILE)
+    command = data.draw(st.sampled_from(sorted(_OPTIONAL_FLAGS)))
+    klass = data.draw(st.sampled_from(sorted(_CLASS_ARGS)))
+    flags = _CLASS_ARGS[klass] + ["--x0", "--y0"] + data.draw(
+        st.lists(st.sampled_from(_OPTIONAL_FLAGS[command]), unique=True))
+    argv = [command, "--class", klass]
+    argv += [f if "=" in f else f"{f}={data.draw(value)}" for f in flags]
+    argv += [f"--range={data.draw(value)}:{data.draw(value)}",
+             "--samples", data.draw(st.sampled_from(["2", "3", "17"]))]
+    code, out, err = invoke(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code in (1, 2):
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+    else:
+        assert err == "", argv
 
 
 def test_verify_failure_exits_3_with_full_report():

@@ -148,6 +148,21 @@ def test_number_literal_overflow_rejected():
         parse("1e999")
 
 
+def test_nesting_too_deep_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError) as info:
+        parse("(" * 300 + "x" + ")" * 300)
+    assert "nests too deeply" in str(info.value)
+    assert 0 < info.value.offset < 300  # at one of the opening parentheses
+
+
+def test_long_flat_sum_compiles_without_recursion():
+    # Each "+" appends its opcode as it is read; 3000 terms need a stack of
+    # two and no recursion.
+    expr = parse("+".join(["1"] * 3000))
+    assert expr._need == 2
+    assert expr.eval(0.5) == 3000.0
+
+
 @pytest.mark.parametrize(
     "text,x,exc",
     [

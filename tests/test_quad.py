@@ -4,6 +4,7 @@ cumulative integrals."""
 import concurrent.futures
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,7 @@ def test_divergent_integrand_raises_convergence_error():
     assert math.isfinite(err.estimate)
     assert err.error_estimate > 0.0
     assert "converge" in str(err)
+    assert f"max_depth={quad._MAX_DEPTH}" in str(err)  # names the cap
 
 
 @pytest.mark.parametrize("bad, kind", [(np.inf, EvalOverflowError),
@@ -165,12 +167,6 @@ def test_failed_segment_names_its_ordered_interval_on_either_side():
         assert info.value.error_estimate == alone.value.error_estimate, x0
 
 
-def test_max_depth_limit_enforced():
-    cfg = QuadratureConfig(max_depth=1, abs_tol=1e-14, rel_tol=1e-14)
-    with pytest.raises(ConvergenceError):
-        integrate(parse("sin(x^2)"), 0.0, 10.0, cfg)
-
-
 def test_nonsmooth_integrands_still_converge():
     # A kink off any panel midpoint and a steep logistic step.
     assert abs(integrate(parse("abs(x-0.3)"), 0.0, 1.0)
@@ -179,6 +175,29 @@ def test_nonsmooth_integrands_still_converge():
     exact = 0.5 + (math.log(1 + math.exp(-100)) -
                    math.log(1 + math.exp(100))) / 200.0 + 0.5
     assert abs(integrate(steep, 0.0, 1.0) - exact) <= 1e-8
+
+
+@pytest.mark.parametrize("x0", [1e4, 1e6, 1e8, 1e10])
+def test_segments_end_on_the_table_abscissae(x0):
+    # 3.3/256 is no short binary fraction, so x0 + k*h and
+    # (x0 + (k-1)*h) + h differ in the last bits of x0. Segments run
+    # between the table's own abscissae, so F of 1 is x - x0 exactly.
+    cfg = QuadratureConfig(checkpoint_spacing=3.3 / 256.0)
+    F = antiderivative(parse("1"), x0, cfg)
+    xs = x0 + np.linspace(0.0, 3.3, 1001)
+    assert np.array_equal(F.values(xs), xs - x0)
+
+
+def test_huge_bounds_raise_no_numpy_warning():
+    # Panel midpoints and tolerance shares are formed so that they cannot
+    # overflow while the bounds and the integral are finite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = integrate_many(parse("1"), [0.0, 1e300, 0.0],
+                             [1e308, 1.0000000001e300, 1e308])
+    assert out[0] == out[2] == 1e308  # finite, though their sum is not
+    width = 1.0000000001e300 - 1e300
+    assert abs(out[1] - width) <= 1e-12 * width
 
 
 def test_subnormal_abs_tol_still_integrates():
@@ -193,8 +212,6 @@ def test_config_validation():
         QuadratureConfig(abs_tol=0.0)
     with pytest.raises(ParameterError):
         QuadratureConfig(rel_tol=-1e-9)
-    with pytest.raises(ParameterError):
-        QuadratureConfig(max_depth=0)
     with pytest.raises(ParameterError):
         QuadratureConfig(checkpoint_spacing=0.0)
 
@@ -384,39 +401,40 @@ def test_query_span_guard():
 def test_weighted_cumulative_examples():
     # g = 1, F(t) = t, scale = 1:  W(x) = e^x - 1.
     F = antiderivative(parse("1"), 0.0)
-    W = weighted_cumulative(parse("1"), F, 1.0, 0.0)
+    W = weighted_cumulative(parse("1"), F, 1.0)
     assert abs(W.value(1.0) - (math.e - 1)) <= 1e-9
 
     # g = 0 gives the zero function without error.
-    W0 = weighted_cumulative(parse("0"), F, 1.0, 0.0)
+    W0 = weighted_cumulative(parse("0"), F, 1.0)
     assert W0.value(2.0) == 0.0
 
     # g = 1, F(t) = -t, scale = 1:  W(x) = 1 - e^{-x}.
     Fm = antiderivative(parse("-1"), 0.0)
-    Wm = weighted_cumulative(parse("1"), Fm, 1.0, 0.0)
+    Wm = weighted_cumulative(parse("1"), Fm, 1.0)
     assert abs(Wm.value(1.0) - (1 - math.exp(-1.0))) <= 1e-9
 
 
 def test_weighted_cumulative_composition():
     # g = cos, F(t) = t, scale = 1: W(x) = (e^x (sin x + cos x) - 1) / 2.
     F = antiderivative(parse("1"), 0.0)
-    W = weighted_cumulative(parse("cos(x)"), F, 1.0, 0.0)
+    W = weighted_cumulative(parse("cos(x)"), F, 1.0)
     for x in (0.5, 1.5, -0.75):
         exact = (math.exp(x) * (math.sin(x) + math.cos(x)) - 1.0) / 2.0
         assert abs(W.value(x) - exact) <= 1e-9
 
 
-def test_weighted_cumulative_anchor_mismatch():
-    F = antiderivative(parse("1"), 0.0)
+def test_weighted_cumulative_takes_its_anchor_from_F():
+    F = antiderivative(parse("1"), 0.5)  # F(t) = t - 0.5
+    W = weighted_cumulative(parse("1"), F, 1.0)
+    assert W.x0 == 0.5 and W.value(0.5) == 0.0
+    assert abs(W.value(1.5) - (math.e - 1)) <= 1e-9
     with pytest.raises(ParameterError):
-        weighted_cumulative(parse("1"), F, 1.0, 0.5)
-    with pytest.raises(ParameterError):
-        weighted_cumulative(parse("1"), "not an antiderivative", 1.0, 0.0)
+        weighted_cumulative(parse("1"), "not an antiderivative", 1.0)
 
 
 def test_weighted_cumulative_overflow_reports_location():
     F = antiderivative(parse("1"), 0.0)  # F(t) = t
-    W = weighted_cumulative(parse("1"), F, 1000.0, 0.0)
+    W = weighted_cumulative(parse("1"), F, 1000.0)
     with pytest.raises(EvalOverflowError) as info:
         W.value(1.0)
     # exp(1000 t) overflows once t exceeds ~0.7098.

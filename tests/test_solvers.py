@@ -17,6 +17,7 @@ from odeform import (
     OdeformError,
     OutsideValidityError,
     ParameterError,
+    QuadratureConfig,
     construct,
     parse,
     signed_power,
@@ -227,10 +228,17 @@ def test_exp_parameter_validation():
 @pytest.mark.parametrize("f, g, cause", [
     ("sqrt(1-x)", "sqrt(1-x)", "square root of a negative argument"),
     ("1/(x-1)", "0", "did not converge"),
+    ("1", "sqrt(1-x)", "square root of a negative argument"),
+    # ln(DBL_MAX)/2: g = e^(a x) and e^F = e^(a x) stay finite at x = 1,
+    # and their product leaves double range there.
+    ("354.891356446692", "exp(354.891356446692*x)",
+     "g * exp(scale * F) overflows"),
 ])
 def test_quadrature_failure_boundaries_are_located(f, g, cause):
-    # A coefficient outside its domain, and an antiderivative that diverges,
-    # both end the validity interval at x = 1; the note names the cause.
+    # A coefficient outside its domain, an antiderivative that diverges, a
+    # weight g outside its domain inside W, and a product g * e^F outside
+    # double range all end the validity interval at x = 1; the note names
+    # the cause.
     sol = solve_linear_ivp(parse(f), parse(g), ic(0.0, 1.0))
     sol.ensure_validity(-1.0, 2.0)
     assert abs(sol.validity.hi - 1.0) <= 1e-8
@@ -248,6 +256,15 @@ def test_overflowing_quadrature_sums_raise_no_numpy_warning():
         warnings.simplefilter("error")
         xs, ys = sol.sample(0.0, 40.0, 3)
     assert 26.0 < sol.validity.hi < 27.0
+    assert np.all(np.isfinite(ys))
+    # y = cosh(x): with the spacing of a 0:400 range a checkpoint segment of
+    # W fails first, and the NaN test on the table must not overflow.
+    cfg = QuadratureConfig(checkpoint_spacing=400.0 / 256.0)
+    sol = solve_linear_ivp(parse("1"), parse("exp(x)"), ic(0.0, 1.0), cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xs, ys = sol.sample(0.0, 400.0, 9)
+    assert 354.0 < sol.validity.hi < 356.0
     assert np.all(np.isfinite(ys))
 
 

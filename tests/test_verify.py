@@ -187,6 +187,16 @@ def test_oracle_grid_on_both_sides_of_an_interior_x0():
     assert np.max(np.abs(oracle.values - exact) / exact) <= 5e-8
 
 
+def test_oracle_crosses_a_subnormal_span():
+    # Left of x0 the span is one subnormal, and span/100 underflows to 0;
+    # a zero first step never grew, and the march never ended.
+    spec = EquationSpec.linear(parse("1"), parse("1"))  # y = 1 stays 1
+    oracle = rk_reference(spec, ic(5e-324, 1.0), (0.0, 1e-300), grid_size=3)
+    assert not oracle.truncated
+    assert list(oracle.grid) == [0.0, 5e-301, 1e-300]
+    assert list(oracle.values) == [1.0, 1.0, 1.0]
+
+
 def test_oracle_truncates_where_a_coefficient_fails():
     # f = sqrt(1 - x) has no real value past x = 1: the steps shrink away
     # there, and the grid points before it are still reported.
@@ -431,6 +441,9 @@ def test_full_verify_reports_constructor_stage():
 def test_full_verify_validates_range():
     with pytest.raises(ParameterError):
         full_verify(LINEAR_DECAY, ic(0.0, 1.0), (1.0, 2.0))  # x0 outside
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            full_verify(LINEAR_DECAY, ic(0.0, 1.0), (0.0, 1.0), perturb=bad)
 
 
 def test_full_verify_deterministic():
