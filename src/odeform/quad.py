@@ -1,49 +1,56 @@
 """Definite integrals and anchored antiderivatives.
 
-All integration uses the 15-point Kronrod rule with the embedded 7-point
-Gauss rule for error estimation, refined by adaptive bisection. The engine
-is batch-oriented: integrate_many() advances every pending panel of every
-requested interval in one integrand call per refinement generation, so
-nested constructions (an antiderivative whose integrand queries another
-antiderivative) stay close to linear cost. Each panel's rule sums are
-formed row by row, so an interval's result is the same bit for bit in any
-batch. Tolerances come from a QuadratureConfig only.
+Definite integrals use the 15-point Kronrod rule with the embedded 7-point
+Gauss rule for error estimation, refined by adaptive bisection.
+integrate_many() advances every pending panel of every requested interval
+in one integrand call per refinement generation. Each panel's rule sums
+are formed row by row, so an interval's result is the same bit for bit in
+any batch. Tolerances come from a QuadratureConfig only.
 
 Antiderivative realizes F(x) = integral of phi from x0 to x with F(x0) = 0
-exactly. It keeps one signed table of checkpoint values at the abscissae
-x0 + k*h on both sides of x0, each checkpoint segment running between two
-of those abscissae as computed, and adds an adaptive tail from the
-nearest checkpoint below x. So the value at x is a pure function of x:
-query order, query history and batching cannot change results, and the
-segments and tails meet exactly however large |x0| is. The table grows
-under an internal lock; concurrent queries from multiple threads are safe.
+exactly, as Chebyshev cells (Trefethen, *Approximation Theory and
+Approximation Practice*, SIAM 2013, ch. 19). The cells are
+[x0 + k*h, x0 + (k+1)*h] on either side of x0, built outward as queries
+reach them. On a cell, F is the integral of the degree-16 interpolant of
+phi at the 17 Chebyshev points of the first kind, written as
+(x - a) * Q(t) from the cell's end a nearer x0. A cell whose last three
+coefficients, times its width, do not fit its share of the tolerance is
+bisected (Aurentz & Trefethen, "Chopping a Chebyshev series", *ACM TOMS*
+43, 2017). A table keeps F at the cell ends as the running sum of the
+cell integrals, so a query is a table lookup plus a Clenshaw sum, and
+costs no integrand call once its cell exists. Every cell is computed as
+if alone, so the value at x is a pure function of x: query order, query
+history and batching cannot change results, and a table abscissa reads
+its table value exactly however large |x0| is. The table grows under an
+internal lock; concurrent queries from multiple threads are safe.
 
 Integrands only need to be Riemann integrable on bounded intervals; strict
-accuracy claims hold for piecewise-smooth ones. Panels that shrink to the
-floating-point limit are accepted as is.
+accuracy claims hold for piecewise-smooth ones. Panels and cells that
+shrink to the floating-point limit stop splitting, and their error still
+counts against their interval or cell.
 
 Failure is per interval, as QUADPACK reports it with a per-integral flag
 (Piessens et al., *QUADPACK*, Springer 1983). Integrands mark a node they
 cannot evaluate with a non-finite value (an Expression does so through
-its tape statuses). An interval fails as soon as one of its nodes is not
-finite, and such a panel is never split; it also fails if it misses
-tolerance after _MAX_DEPTH (50) bisections, a fixed cap, or once it holds
-more than _PANEL_BUDGET panels at one depth. So an interval's result never
-depends on the other intervals of its batch. The masked forms
-(``masked=True``) return NaN for a failed interval, and an antiderivative
-is NaN past any failed checkpoint segment. The plain forms raise from the
-first failed point: the integrand's own typed error at the failing node,
-an EvalError for a node where a plain callable returned a non-finite
-value, or a ConvergenceError carrying the last estimate. An antiderivative
-finds that error by running the one integral that failed again through
-integrate_many.
+its tape statuses). An interval of integrate_many fails as soon as one of
+its nodes is not finite, and such a panel is never split; it also fails if
+it misses tolerance after _MAX_DEPTH (50) bisections, a fixed cap, or once
+it holds more than _PANEL_BUDGET panels at one depth. So an interval's
+result never depends on the other intervals of its batch. A cell with a
+non-finite sample is bisected toward that sample instead, and the first
+cell going out from x0 that fails for good ends the table: F is NaN from
+where that cell fails outward. The masked forms (``masked=True``) return
+NaN where they fail. The plain forms raise from the first failed point:
+the integrand's own typed error at the failing node, an EvalError for a
+node where a plain callable returned a non-finite value, or a
+ConvergenceError carrying the last estimate.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,8 +118,6 @@ _DEFAULT_SPACING = 1.0 / 128.0
 _MAX_SEGMENTS = 1 << 21  # guard against runaway checkpoint tables
 _PANEL_BUDGET = 10_000   # per-interval cap on the panels it holds at a depth
 _MAX_DEPTH = 50          # bisections before an interval stops splitting
-_SEGMENT_TOL = 1.0 / 256.0  # checkpoint segments' share of abs_tol
-_TAIL_TOL = 0.25            # the tail's share of abs_tol
 
 
 @dataclass(frozen=True)
@@ -142,12 +147,6 @@ class QuadratureConfig:
 
 
 _DEFAULT_CFG = QuadratureConfig()
-
-
-def _share(cfg: QuadratureConfig, frac: float) -> QuadratureConfig:
-    """cfg with abs_tol cut to frac of it; a subnormal abs_tol that the cut
-    takes to 0 becomes the smallest positive double instead."""
-    return replace(cfg, abs_tol=max(frac * cfg.abs_tol, 5e-324))
 
 
 def as_array_fn(f, masked: bool = False):
@@ -355,45 +354,289 @@ def integrate(fn, a: float, b: float,
     return float(integrate_many(fn, np.array([a]), np.array([b]), cfg)[0])
 
 
+# ---------------------------------------------------------------------------
+# Chebyshev cells
+
+_DEG = 16  # degree of a cell's interpolant
+
+
+def _cell_rule():
+    """The sample points of a cell and the fixed map from its samples.
+
+    The points are the 17 Chebyshev points of the first kind,
+    t_k = -cos((2k+1) pi / 34), ascending from the cell's end nearer x0; a
+    cell never samples its ends, so an integrable singularity there, as of
+    log(x) or sin(x)/x at 0, costs nothing. Let p be the degree-16
+    interpolant of samples v at them, and R(t) = (integral of p from -1 to
+    t) / (t + 1). Applied to v, rows 0-16 of the map give R's Chebyshev
+    coefficients, row 17 gives R(1) (Fejer's first rule, halved) and rows
+    18-20 p's last three coefficients. On a cell from a to b the integral
+    from a to x is then (x - a) * R(t).
+    """
+    n = _DEG + 1
+    k = np.arange(n)
+    odd = 2 * k + 1
+    # T_j(t_k) = (-1)^j cos(j (2k+1) pi / 2n); the integer product is
+    # reduced mod 4n so that the cosine's argument carries no rounding.
+    interp = np.cos(np.pi * (np.outer(k, odd) % (4 * n)) / (2 * n))
+    interp *= (2.0 / n) * (-1.0) ** k[:, None]
+    interp[0] *= 0.5
+
+    def rise(m):
+        """T_m(t_k) - T_m(-1), as -(-1)^m 2 sin^2(m (2k+1) pi / 4n): no
+        cancellation near t = -1."""
+        half = np.sin(np.pi * (np.outer(odd, m) % (4 * n)) / (4 * n))
+        return -2.0 * (-1.0) ** m * half * half
+
+    # cum[k, j]: integral of T_j from -1 to t_k
+    cum = rise(k + 1) / (2.0 * (k + 1))
+    cum[:, 2:] -= rise(k[2:] - 1) / (2.0 * (k[2:] - 1))
+    cum[:, 1] = rise(np.array([2]))[:, 0] / 4.0
+    cum[:, 0] = rise(np.array([1]))[:, 0]  # t_k + 1
+    # einsum, not matmul: building the rule loads no BLAS at import.
+    at = np.einsum("kj,ji->ki", cum, interp) / cum[:, :1]  # v -> R(t_k)
+    whole = np.zeros(n)                     # half the integral of T_j
+    whole[::2] = 1.0 / (1.0 - k[::2] ** 2)  # over [-1, 1]
+    rule = np.vstack((np.einsum("jk,ki->ji", interp, at),
+                      np.einsum("j,ji->i", whole, interp), interp[n - 3:]))
+    return -np.cos(np.pi * odd / (2 * n)), rule
+
+
+_TAU, _RULE = _cell_rule()
+_DTAU = np.diff(_TAU)
+
+
+def _fit(vals, w, span):
+    """Fit cells of signed widths w to their samples (one row each).
+
+    Returns (coef, val, err, grain): the coefficients of R, degree-major;
+    the signed integral over each cell; |w| times the last three
+    coefficients of the interpolant; and the part of err that rounding the
+    samples and their positions, up to ``span`` in magnitude, can account
+    for (below it a cell is resolved as far as doubles allow). Samples are
+    scaled by their largest magnitude first, so the map cannot overflow
+    while they are finite, and their first sample is taken out and added
+    back, so a constant's R is that constant exactly. The sums are einsum
+    row by row, so a cell's fit does not depend on its batch.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.max(np.abs(vals), axis=1)
+        m[m == 0.0] = 1.0
+        u = vals / m[:, None]
+        u0 = u[:, 0]
+        c = np.einsum("jk,ik->ji", _RULE, u - u0[:, None])
+        coef = c[:_DEG + 1]
+        coef[0] += u0
+        coef *= m
+        val = w * (m * (c[_DEG + 1] + u0))
+        tail = np.abs(c[_DEG + 2]) + np.abs(c[_DEG + 3]) + np.abs(c[_DEG + 4])
+        err = np.abs(w) * (m * tail)
+        slope = np.max(np.abs(np.diff(u, axis=1)) / _DTAU, axis=1)
+        grain = m * (8.0 * _EPS * np.abs(w) + 16.0 * (_EPS * span) * slope)
+    return coef, val, err, grain
+
+
+def _clenshaw(coef, idx, t):
+    """Sum of coef[j, idx] T_j(t), one row of coef gathered per degree."""
+    t2 = t + t
+    b1 = coef[_DEG][idx]
+    b2 = np.zeros(t.shape)
+    for j in range(_DEG - 1, 0, -1):
+        b1, b2 = coef[j][idx] + t2 * b1 - b2, b1
+    return coef[0][idx] + t * b1 - b2
+
+
+def _cells(fn, ends, cfg):
+    """Chebyshev cells between consecutive ``ends``, ordered outward.
+
+    ``fn`` is a masked integrand. A cell is accepted where its last three
+    coefficients, times its width, fit its share of the tolerance:
+    max(abs_tol/256, rel_tol * |cell integral|) in proportion to its width
+    (a chain of 256 cells stays within abs_tol), or are down to what
+    rounding its samples and their positions puts in them. Otherwise it is
+    bisected, up to _MAX_DEPTH times; a part at the floating-point width
+    limit, at the depth cap or over _PANEL_BUDGET stops splitting, and its
+    error counts against its cell. A part with a non-finite sample is
+    bisected toward the first such sample going outward, and every part
+    beyond that sample is dropped. A cell fails when its error exceeds its
+    tolerance or it reaches that sample, and no cell beyond the first
+    failing one is kept.
+
+    Returns (total, parts, fail). ``total`` holds each kept cell's signed
+    integral. ``parts`` = (cell, a, w, excl, coef) lists the kept parts in
+    outward order: inner end a, signed width w, the integral from the
+    cell's inner end to a, and the coefficients of R. ``fail`` is None, or
+    (cell, end, node, estimate, error) for the first failing cell: F fails
+    from ``end`` outward, at the first non-finite sample or at the part
+    that adds most to the cell's error, whichever comes first. ``node`` is
+    that sample (NaN if the cell has none), and estimate and error are
+    those of the cell's ordered interval.
+    """
+    n = ends.size - 1
+    s = 1.0 if ends[-1] > ends[0] else -1.0
+    width = ends[1:] - ends[:-1]
+    share = cfg.abs_tol / 256.0
+    cid = np.arange(n)
+    a, b = ends[:-1], ends[1:]
+    est = np.zeros(n)
+    cut, node = math.inf, math.nan  # outward position of the first bad sample
+    done = []
+    depth = 0
+    while cid.size:
+        pts = (0.5 * a + 0.5 * b)[:, None] + (0.5 * (b - a))[:, None] * _TAU
+        vals = fn(pts.ravel()).reshape(pts.shape)
+        finite = np.isfinite(vals)
+        bad = ~finite.all(axis=1)
+        if bad.any():
+            rows = np.flatnonzero(bad)
+            first = pts[rows, np.argmax(~finite[rows], axis=1)]
+            i = int(np.argmin(s * first))
+            if s * first[i] < cut:
+                cut, node = s * first[i], float(first[i])
+            vals = np.where(finite, vals, 0.0)
+        span = np.maximum(np.abs(a), np.abs(b))
+        coef, val, err, grain = _fit(vals, b - a, span)
+        ok = (~bad & np.isfinite(val) & np.isfinite(err)
+              & np.isfinite(coef).all(axis=0))
+        val[~ok] = 0.0
+        err[~ok] = np.inf
+        live = s * a < cut
+        cur = est + np.bincount(cid[live], weights=val[live], minlength=n)
+        tol = np.maximum(share, cfg.rel_tol * np.abs(cur))
+        settled = ok & ((err <= tol[cid] * np.abs((b - a) / width[cid]))
+                        | (err <= grain))
+        tiny = np.abs(b - a) <= 100.0 * _EPS * np.maximum(1.0, span)
+        stop = settled | tiny
+        if depth >= _MAX_DEPTH:
+            stop[:] = True
+        elif cid.size > _PANEL_BUDGET and 2 ** depth > _PANEL_BUDGET:
+            stop |= np.bincount(cid, minlength=n)[cid] > _PANEL_BUDGET
+        stop &= live
+        done.append((cid[stop], a[stop], b[stop], coef[:, stop], val[stop],
+                     err[stop]))
+        est += np.bincount(cid[stop], weights=val[stop], minlength=n)
+        go = live & ~stop
+        cid = np.repeat(cid[go], 2)
+        mid = 0.5 * a[go] + 0.5 * b[go]
+        a, b = (np.stack((a[go], mid), axis=1).ravel(),
+                np.stack((mid, b[go]), axis=1).ravel())
+        depth += 1
+
+    cid, a, b, coef, val, err = (
+        np.concatenate(col, axis=-1) for col in zip(*done))
+    order = np.argsort(s * a, kind="stable")
+    order = order[s * a[order] < cut]
+    cid, a, b, coef = cid[order], a[order], b[order], coef[:, order]
+    val, err = val[order], err[order]
+    counts = np.bincount(cid, minlength=n)
+    start = np.concatenate(([0], np.cumsum(counts)))
+    # Running sums inside each cell, outward from its inner end, one cell
+    # at a time.
+    total = np.zeros(n)
+    excl = np.zeros(cid.size)
+    one = counts == 1
+    total[one] = val[start[:-1][one]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in np.flatnonzero(counts > 1):
+            run = np.add.accumulate(val[start[c]:start[c + 1]])
+            total[c] = run[-1]
+            excl[start[c] + 1:start[c + 1]] = run[:-1]
+        etotal = np.bincount(cid, weights=err, minlength=n)
+        tol = np.maximum(share, cfg.rel_tol * np.abs(total))
+    missed = ~(etotal <= tol) | ~np.isfinite(total)
+    reached = cut < s * ends[1:]  # the first bad sample lies before its end
+    failed = missed | reached
+    parts = (cid, a, b - a, excl, coef)
+    if not failed.any():
+        return total, parts, None
+    # F fails from the first bad sample in the first failing cell, or, if
+    # the cell misses its tolerance, from the part that adds most to its
+    # error if that comes first.
+    f = int(np.argmax(failed))
+    lo, hi = start[f], start[f + 1]
+    cand = [node] if reached[f] else []
+    if missed[f] and hi > lo:
+        cand.append(float(a[lo + np.argmax(err[lo:hi])]))
+    end = min(cand, key=lambda x: s * x)
+    keep = lo + int(np.count_nonzero(s * a[lo:hi] < s * end))
+    parts = tuple(p[..., :keep] for p in parts)
+    fail = (f, end, node if reached[f] else math.nan, s * total[f],
+            etotal[f])
+    return total[:f], parts, fail
+
+
+class _Side:
+    """The cells on one side of x0, outward from it."""
+
+    def __init__(self, sign: float):
+        self.sign = sign
+        self.tab = np.zeros(1)  # F at x0 + sign*k*h, k = 0 .. cells
+        self.first = np.zeros(1, np.int64)  # cell c: parts first[c] ..
+        self.key = np.empty(0)  # sign * a, ascending
+        self.a = np.empty(0)    # each part's end nearer x0
+        self.w = np.empty(0)    # its signed width
+        self.base = np.empty(0)  # F at a
+        self.coef = np.empty((_DEG + 1, 0))
+        self.end = math.nan     # F fails beyond this point, once a cell fails
+        self.fail = None        # (inner, outer, node, estimate, error)
+
+    def read(self, x, m, on) -> np.ndarray:
+        """F at the points x of this side; m = floor((x - x0)/h) and ``on``
+        marks the table abscissae x0 + m*h."""
+        s = self.sign
+        k = (s * m).astype(np.int64)
+        out = np.full(x.size, np.nan)
+        hit = on & (k < self.tab.size)
+        out[hit] = self.tab[k[hit]]
+        c = k - (s < 0)  # the cell of a point off the abscissae
+        inside = np.flatnonzero(~on & (c < self.first.size - 1))
+        lo, hi = self.first[c[inside]], self.first[c[inside] + 1]
+        keep = lo < hi
+        if self.fail is not None:
+            keep &= s * x[inside] <= s * self.end
+        inside, lo, hi = inside[keep], lo[keep], hi[keep]
+        if inside.size:
+            xi = x[inside]
+            idx = np.searchsorted(self.key, s * xi, "right") - 1
+            idx = np.clip(idx, lo, hi - 1)
+            d = xi - self.a[idx]
+            t = (d + d) / self.w[idx] - 1.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[inside] = self.base[idx] + d * _clenshaw(self.coef, idx,
+                                                             t)
+        return out
+
+
 class Antiderivative:
     """F(x) = integral of phi from x0 to x, with F(x0) = 0.0 exactly.
 
-    One signed table holds F at x0 + k*spacing for k = kmin .. kmax, the
-    range the queries have touched so far; it grows outward from x0 on
-    either side, one checkpoint segment per spacing. Each query is the
-    nearest checkpoint at or below x plus an adaptive tail shorter than one
-    spacing. Checkpoint segments run at a small fraction of the configured
-    abs_tol so chains of them do not erode the overall budget.
+    Chebyshev cells of width ``spacing`` tile both sides of x0, built
+    outward as queries reach them, and a table keeps F at their ends
+    x0 + k*spacing. A query at a table abscissa reads the table; any other
+    adds the Clenshaw sum of the cell (or the part of a split cell) that
+    holds it to F at that part's end nearer x0. A cell's tolerance share is
+    abs_tol/256 so chains of cells do not erode the overall budget.
 
-    A failed checkpoint segment makes its checkpoint NaN, and so every
-    checkpoint beyond it: F is undefined past the first point where it
-    fails, and ``values`` raises or, with ``masked``, reads NaN there.
+    The first cell, going out from x0, that fails for good ends the table
+    on its side: F is NaN from where that cell fails outward, and
+    ``values`` raises or, with ``masked``, reads NaN there.
 
     ``eval_count`` counts integrand evaluations, which makes cost claims
-    testable: covering a fresh span costs one pass of checkpoint segments
-    plus one bounded tail per query point.
+    testable: covering a fresh span costs 17 per cell plus 17 per part of
+    the cells that split, and a query inside cells that exist costs none.
     """
 
     def __init__(self, fn, x0: float, cfg: QuadratureConfig | None = None):
         self._src = fn
-        masked = as_array_fn(fn, masked=True)
-        cfg = cfg or _DEFAULT_CFG
-        self._h = cfg.checkpoint_spacing or _DEFAULT_SPACING
-        self._seg_cfg = _share(cfg, _SEGMENT_TOL)
-        self._tail_cfg = _share(cfg, _TAIL_TOL)
+        self._masked = as_array_fn(fn, masked=True)
+        self._cfg = cfg or _DEFAULT_CFG
+        self._h = self._cfg.checkpoint_spacing or _DEFAULT_SPACING
         if not np.isfinite(x0):
             raise ParameterError("anchor x0 must be finite")
         self._x0 = float(x0)
-        self._tab = np.zeros(1)  # F at x0 + k*h, k = _kmin .. _kmin+len-1
-        self._kmin = 0
+        self._sides = (_Side(1.0), _Side(-1.0))
         self._lock = threading.RLock()
         self.eval_count = 0
-
-        def counted(xs: np.ndarray) -> np.ndarray:
-            self.eval_count += xs.size
-            return masked(xs)
-
-        self._fn = counted
 
     @property
     def x0(self) -> float:
@@ -406,24 +649,41 @@ class Antiderivative:
     def checkpoints(self) -> list[tuple[float, float]]:
         """Materialized (x, F(x)) pairs, strictly increasing in x."""
         with self._lock:
-            ks = np.arange(self._kmin, self._kmin + self._tab.size)
-            tab = self._tab
-        return list(zip((self._x0 + ks * self._h).tolist(), tab.tolist()))
+            up, down = (side.tab for side in self._sides)
+        ks = np.arange(1 - down.size, up.size)
+        return list(zip((self._x0 + ks * self._h).tolist(),
+                        np.concatenate((down[:0:-1], up)).tolist()))
 
-    def _grow(self, k_from: int, k_to: int):
-        """Extend the table from its end k_from out to k_to, one segment
-        per step away from x0 (requires self._lock held)."""
-        step = 1 if k_to > k_from else -1
-        ends = self._x0 + np.arange(k_from, k_to + step, step) * self._h
-        segs = integrate_many(self._fn, ends[:-1], ends[1:], self._seg_cfg,
-                              masked=True)
-        first = self._tab[k_from - self._kmin]
-        acc = np.add.accumulate(np.concatenate(([first], segs)))[1:]
-        if step > 0:
-            self._tab = np.concatenate((self._tab, acc))
-        else:
-            self._tab = np.concatenate((acc[::-1], self._tab))
-            self._kmin = k_to
+    def _grow(self, side: _Side, n: int):
+        """Build the cells of ``side`` out to n of them (requires the lock)."""
+        ks = side.sign * np.arange(side.tab.size - 1, n + 1)
+        ends = self._x0 + ks * self._h
+
+        # A closure over self that lives only for this call: one kept on
+        # self would make every antiderivative wait for the cyclic garbage
+        # collector, cells and all.
+        def counted(xs: np.ndarray) -> np.ndarray:
+            self.eval_count += xs.size
+            return self._masked(xs)
+
+        total, (cid, a, w, excl, coef), fail = _cells(counted, ends,
+                                                      self._cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tab = np.add.accumulate(np.concatenate((side.tab[-1:], total)))
+            base = tab[cid] + excl
+        if fail is not None:
+            f, side.end, node, est, err = fail
+            side.fail = (float(ends[f]), float(ends[f + 1]), node, est, err)
+            tab = np.append(tab, np.nan)
+        counts = np.bincount(cid, minlength=tab.size - 1)
+        side.first = np.concatenate((side.first,
+                                     side.first[-1] + np.cumsum(counts)))
+        side.key = np.concatenate((side.key, side.sign * a))
+        side.a = np.concatenate((side.a, a))
+        side.w = np.concatenate((side.w, w))
+        side.base = np.concatenate((side.base, base))
+        side.coef = np.concatenate((side.coef, coef), axis=1)
+        side.tab = np.concatenate((side.tab, tab[1:]))
 
     def values(self, xs, *, masked: bool = False) -> np.ndarray:
         """F at a 1-D array of points, any order.
@@ -439,26 +699,30 @@ class Antiderivative:
         if not np.all(np.isfinite(xs)):
             raise ValueError("query points must be finite")
         with self._lock:
-            ks_f = np.floor((xs - self._x0) / self._h)
-            kmin = self._kmin
-            kmax = kmin + self._tab.size - 1
-            if (max(ks_f.max(), kmax) - min(ks_f.min(), kmin)
-                    > _MAX_SEGMENTS):
+            up = xs >= self._x0
+            # floor((x - x0)/h), kept on x's side of 0 where the quotient
+            # underflows
+            m = np.floor((xs - self._x0) / self._h)
+            m = np.where(up, np.maximum(m, 0.0), np.minimum(m, -1.0))
+            on = xs == self._x0 + m * self._h
+            # cells each side needs: up to the cell of x, or up to the
+            # abscissa x itself
+            need = [side.tab.size - 1 for side in self._sides]
+            if up.any():
+                need[0] = max(need[0], (m[up] + ~on[up]).max())
+            if not up.all():
+                need[1] = max(need[1], (-m[~up]).max())
+            if need[0] + need[1] > _MAX_SEGMENTS:
                 raise ParameterError(
                     "query span requires more checkpoint segments than "
                     "allowed; use a larger checkpoint_spacing")
-            ks = ks_f.astype(np.int64)
-            if ks.max() > kmax:
-                self._grow(kmax, int(ks.max()))
-            if ks.min() < kmin:
-                self._grow(kmin, int(ks.min()))
-            out = self._tab[ks - self._kmin]
-            ck = self._x0 + ks * self._h
-            dead = np.isnan(out)
-            if dead.any():
-                ck[dead] = xs[dead]  # F is NaN there: no tail to integrate
-            out += integrate_many(self._fn, ck, xs, self._tail_cfg,
-                                  masked=True)
+            out = np.empty(xs.size)
+            for side, sel, n in zip(self._sides, (up, ~up), need):
+                if not sel.any():
+                    continue
+                if n > side.tab.size - 1 and side.fail is None:
+                    self._grow(side, int(n))
+                out[sel] = side.read(xs[sel], m[sel], on[sel])
         if not masked:
             bad = np.isnan(out)
             if bad.any():
@@ -466,28 +730,23 @@ class Antiderivative:
         return out
 
     def _error_at(self, x: float) -> EvalError:
-        """The typed error of F at a point x where it is NaN: the integral
-        that failed on the way to x is run again on its own."""
-        h = self._h
-        k = int(np.floor((x - self._x0) / h))
-        step = 1 if k >= 0 else -1
-        ks = np.arange(0, k + step, step)  # x0 outward to x's checkpoint
+        """The typed error of F at a point x where it is NaN: that of the
+        cell that failed between x0 and x."""
+        side = self._sides[0 if x >= self._x0 else 1]
         with self._lock:
-            lost = np.isnan(self._tab[ks - self._kmin])
-        if lost.any():
-            # The segment that made the first NaN checkpoint, with the
-            # bounds _grow gave it, in order.
-            j = int(ks[np.argmax(lost) - 1])
-            a, b = sorted((self._x0 + j * h, self._x0 + (j + step) * h))
-            cfg = self._seg_cfg
-        else:
-            a, b = self._x0 + k * h, x
-            cfg = self._tail_cfg
-        try:
-            integrate_many(self._src, a, b, cfg)
-        except (EvalError, ConvergenceError) as e:
-            return e
-        return EvalDomainError("antiderivative is not finite", x)
+            fail = side.fail
+            past = fail is not None and side.sign * (x - side.end) >= 0.0
+        if not past:
+            return EvalDomainError("antiderivative is not finite", x)
+        inner, outer, node, est, err = fail
+        if not math.isnan(node):
+            return _node_error(self._src, node)
+        if not math.isfinite(est):
+            return EvalOverflowError("integral outside double range", outer)
+        return ConvergenceError(
+            f"quadrature did not converge within max_depth={_MAX_DEPTH}",
+            estimate=float(est), error_estimate=float(err),
+            interval=(min(inner, outer), max(inner, outer)))
 
     def value(self, x: float) -> float:
         return float(self.values(np.array([x], dtype=np.float64))[0])
@@ -507,9 +766,11 @@ def antiderivative(fn, x0: float,
 class _Weighted:
     """The integrand t -> g(t) * exp(scale * F(t)) of weighted_cumulative.
 
-    Calls are masked: a node where g or F fails, or where the exponential
-    or the product leaves double range, reads NaN or inf. ``_error_at``
-    names which of these happened at a node.
+    Calls are masked: a node where g or F fails, or where the product
+    leaves double range, reads NaN or inf. Where exp(scale * F) alone
+    overflows, the product is formed as sign(g) * exp(scale * F + log|g|),
+    which stays finite while it is in range and is 0 where g is 0.
+    ``_error_at`` names which of these failures happened at a node.
     """
 
     def __init__(self, g, F: Antiderivative, scale: float):
@@ -519,21 +780,29 @@ class _Weighted:
         self._scale = scale
 
     def __call__(self, ts: np.ndarray) -> np.ndarray:
-        z = self._scale * self._F.values(ts, masked=True)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._gm(ts) * np.exp(z)
+        F = self._F.values(ts, masked=True)
+        g = self._gm(ts)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            z = self._scale * F
+            out = g * np.exp(z)
+            big = (z > EXP_MAX) & np.isfinite(F)
+            if big.any():
+                gb = g[big]
+                out[big] = np.sign(gb) * np.exp(z[big] + np.log(np.abs(gb)))
+        return out
 
     def _error_at(self, t: float) -> EvalError | None:
         ts = np.array([t])
         z = self._scale * float(self._F.values(ts, masked=True)[0])
         if math.isnan(z):
             return self._F._error_at(t)
-        if z > EXP_MAX:
+        v = self(ts)[0]
+        if z > EXP_MAX and not math.isfinite(v):
             return EvalOverflowError(
                 "exp(scale * F) overflows inside the weighted integrand", t)
         if not math.isfinite(self._gm(ts)[0]):
             return _node_error(self._g, t)
-        if not math.isfinite(self(ts)[0]):
+        if not math.isfinite(v):
             return EvalOverflowError(
                 "g * exp(scale * F) overflows inside the weighted integrand",
                 t)

@@ -468,8 +468,8 @@ def solve_bernoulli(f, g, alpha: float, ic: InitialCondition,
     def evaluate(xs: np.ndarray):
         Wv = W.values(xs, masked=True)
         Fv = F.values(xs, masked=True)
-        base = s_b * (om * Wv + C)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            base = s_b * (om * Wv + C)
             vals = s_y * np.exp(-Fv) * base ** expo
         return _outcome(xs, vals, ((np.isnan(Wv), W._error_at),
                                    (base <= 0.0, _BASE_ZERO),
@@ -592,8 +592,8 @@ def solve_second_order(b: float, c: float, C1: float, C2: float,
         """coef * e^(rate t), and where the exponential overflows."""
         if coef == 0.0:
             return np.zeros(ts.shape), np.zeros(ts.shape, bool)
-        z = rate * ts
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = rate * ts
             return coef * np.exp(z), z > EXP_MAX
 
     if case == "real":
@@ -610,7 +610,7 @@ def solve_second_order(b: float, c: float, C1: float, C2: float,
         def evaluate(xs: np.ndarray):
             ts = xs - x0
             e, over = exp_term(1.0, r1, ts)
-            with np.errstate(invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 vals = (C1 + C2 * ts) * e
             return _outcome(xs, vals, ((over, _EXP_OVERFLOW),))
         note = f"repeated real rate {r1!r} with a linear-in-x factor"
@@ -618,8 +618,8 @@ def solve_second_order(b: float, c: float, C1: float, C2: float,
         def evaluate(xs: np.ndarray):
             ts = xs - x0
             e, over = exp_term(1.0, r1, ts)
-            osc = C1 * np.cos(r2 * ts) + C2 * np.sin(r2 * ts)
-            with np.errstate(invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                osc = C1 * np.cos(r2 * ts) + C2 * np.sin(r2 * ts)
                 vals = e * osc
             return _outcome(xs, vals, ((over, _EXP_OVERFLOW),))
         note = f"damped oscillation, rate {r1!r}, angular frequency {r2!r}"

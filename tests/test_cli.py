@@ -479,6 +479,31 @@ def test_power_overflow_names_the_initial_point(x0):
     assert "1e+300" not in err
 
 
+@pytest.mark.parametrize("g, exact, reach", [
+    ("0", lambda x: math.exp(-x), math.inf),
+    # Past x = 708.4 g = e^(-x) is subnormal and carries fewer bits, so W's
+    # integrand, 1 in exact arithmetic, does too; W misses its tolerance
+    # from about 722 on. y is subnormal from 715 on.
+    ("exp(-x)", lambda x: (x + 1.0) * math.exp(-x), 715.0),
+])
+def test_weight_that_offsets_an_overflowing_exponential(g, exact, reach):
+    # y' + y = g, y(0) = 1. Past x = 709.78, e^F = e^x overflows inside W's
+    # integrand g e^F, which is still finite there; validity no longer
+    # ends at 709.78.
+    code, out, err = invoke(["solve", "--class", "linear", "--f", "1",
+                             "--g", g, "--x0", "0", "--y0", "1",
+                             "--range", "0:800", "--samples", "5"])
+    assert code == 0 and err == ""
+    line = next(ln for ln in out.splitlines()
+                if ln.startswith("# validity: "))
+    lo, hi = (float(v) for v in line[len("# validity: "):].split(":"))
+    assert lo == -math.inf and hi >= reach
+    for x, y in csv_rows(out):
+        ref = exact(x)
+        if ref >= sys.float_info.min:  # a normal double
+            assert abs(y - ref) <= 1e-10 * ref, x
+
+
 def test_overflowing_weighted_integrand_ends_validity(tmp_path):
     # y' + y = e^x, y(0) = 1 is cosh(x). Inside the closed form,
     # W = integral of e^t * e^t leaves double range at ln(DBL_MAX)/2 while

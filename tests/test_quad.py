@@ -151,20 +151,26 @@ def test_antiderivative_is_undefined_past_a_failed_segment():
 
 
 def test_failed_segment_names_its_ordered_interval_on_either_side():
-    # 1/x diverges at 0, which a checkpoint segment straddles whether the
+    # 1/x diverges at 0, which a checkpoint cell straddles whether the
     # table grows right (anchor -0.3) or left (anchor 0.3) to reach it.
     fn = parse("1/x")
-    seg_cfg = QuadratureConfig(abs_tol=quad._SEGMENT_TOL * 1e-10)
-    for x0, x in ((-0.3, 1.0), (0.3, -1.0)):
+    for x0, x, near, past in ((-0.3, 1.0, -1e-6, 1e-6),
+                              (0.3, -1.0, 1e-6, -1e-6)):
+        F = antiderivative(fn, x0)
         with pytest.raises(ConvergenceError) as info:
-            antiderivative(fn, x0).value(x)
+            F.value(x)
         a, b = info.value.interval
         assert a < 0.0 < b, x0
-        # The same error as the segment run forward on its own.
-        with pytest.raises(ConvergenceError) as alone:
-            integrate(fn, a, b, seg_cfg)
-        assert info.value.estimate == alone.value.estimate, x0
-        assert info.value.error_estimate == alone.value.error_estimate, x0
+        # The same error as the cell built outward on its own.
+        inner, outer = (a, b) if x0 < 0.0 else (b, a)
+        _, _, fail = quad._cells(quad.as_array_fn(fn, masked=True),
+                                 np.array([inner, outer]), QuadratureConfig())
+        assert info.value.estimate == fail[3], x0
+        assert info.value.error_estimate == fail[4], x0
+        # F fails at the pole, not at the cell's inner end.
+        got = F.values(np.array([near, past]), masked=True)
+        assert math.isfinite(got[0]) and math.isnan(got[1]), x0
+        assert abs(got[0] - math.log(abs(near / x0))) <= 1e-8, x0
 
 
 def test_nonsmooth_integrands_still_converge():
@@ -268,22 +274,24 @@ def test_checkpoints_strictly_increasing():
         assert abs(v - (math.cos(0.5) - math.cos(x))) <= 1e-9
 
 
-def test_checkpoints_are_running_sums_of_single_segments():
-    """The table equals a loop adding one segment at a time, each
-    integrated alone, outward from x0 on both sides, bit for bit."""
+def test_checkpoints_are_running_sums_of_single_cells():
+    """The table equals a loop adding one cell at a time, each built alone,
+    outward from x0 on both sides, bit for bit."""
     fn = parse("exp(-x^2)*cos(3*x)")
+    masked = quad.as_array_fn(fn, masked=True)
     x0 = 0.3
     F = antiderivative(fn, x0)
     F.values(np.array([-1.7, 2.3]))
     h = F.spacing
-    seg_cfg = QuadratureConfig(abs_tol=quad._SEGMENT_TOL * 1e-10)
     ks = [round((x - x0) / h) for x, _ in F.checkpoints()]
     expected = {0: 0.0}
     for step, k_end in ((1, max(ks)), (-1, min(ks))):
         acc = 0.0
         for k in range(0, k_end, step):
-            start = x0 + k * h
-            acc += integrate(fn, start, start + step * h, seg_cfg)
+            ends = x0 + np.array([k, k + step]) * h
+            total, _, fail = quad._cells(masked, ends, QuadratureConfig())
+            assert fail is None
+            acc += float(total[0])
             expected[k + step] = acc
     assert [v for _, v in F.checkpoints()] == [expected[k] for k in ks]
 
@@ -307,24 +315,19 @@ def test_eval_counter_monotone_and_linear():
     F = antiderivative(parse("exp(-x^2)"), 0.0)
     rng = random.Random(7)
     xs = np.array([rng.uniform(-2.0, 3.0) for _ in range(100)])
-    n = xs.size
-    segments = math.ceil(5.0 / F.spacing) + 2
+    cells = math.ceil(5.0 / F.spacing) + 2
 
     assert F.eval_count == 0
     F.values(xs)
     first = F.eval_count
-    # One pass of checkpoint segments plus one bounded tail per point.
-    assert 0 < first <= 64 * (n + segments)
+    # One pass of cells, 17 samples each; exp(-x^2) needs no split there.
+    assert 0 < first <= 17 * cells
 
+    # Points inside cells that exist cost no integrand evaluation.
     F.values(xs)
-    second = F.eval_count
-    assert second >= first  # monotone
-    # Re-querying the same points only pays for tails, not new checkpoints.
-    assert second - first <= 64 * n
-
-    F.values(xs)
-    third = F.eval_count
-    assert third - second == second - first  # steady state is deterministic
+    assert F.eval_count == first
+    F.values(np.sort(xs)[::-1] + 1e-9)
+    assert F.eval_count == first
 
 
 def test_antiderivative_is_pure_function_of_x():
@@ -378,8 +381,11 @@ def test_custom_checkpoint_spacing():
     F = antiderivative(parse("x"), 0.0, cfg)
     assert F.spacing == 0.5
     F.values(np.array([1.6]))
+    # 1.6 lies in the cell [1.5, 2.0], which is built whole.
     xs = [x for x, _ in F.checkpoints()]
-    assert xs == [0.0, 0.5, 1.0, 1.5]
+    assert xs == [0.0, 0.5, 1.0, 1.5, 2.0]
+    F.values(np.array([-1.0]))  # an abscissa needs the cells up to it
+    assert [x for x, _ in F.checkpoints()][:3] == [-1.0, -0.5, 0.0]
 
 
 def test_anchor_must_be_finite():

@@ -1,6 +1,7 @@
 """Tests for the closed-form constructors of all four equation classes."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -248,6 +249,59 @@ def test_quadrature_failure_boundaries_are_located(f, g, cause):
     assert np.all(np.isfinite(sol.values(xs)))
 
 
+def test_singular_coefficient_validity_is_found_cheaply():
+    # F = log|x - 1| diverges at 1: the cell ending there splits toward its
+    # non-finite sample, and no cell past it is built. f counts the points
+    # F samples.
+    expr = parse("1/(x-1)")
+    points = []
+
+    def f(xs):
+        points.append(xs.size)
+        return expr.eval_many(xs, masked=True)
+
+    sol = solve_linear_ivp(f, parse("0"), ic(0.0, 1.0))
+    sol.ensure_validity(-1.0, 2.0)
+    assert sum(points) <= 100_000
+    assert abs(sol.validity.hi - 1.0) <= 1e-8
+    assert sol.validity.lo == -math.inf
+    # A pole off the table abscissae fails its cell by convergence, and F
+    # still ends at the pole.
+    sol = solve_linear_ivp(parse("1/(x-1.001)"), parse("0"), ic(0.0, 1.0))
+    sol.ensure_validity(-1.0, 2.0)
+    assert abs(sol.validity.hi - 1.001) <= 1e-8
+    assert "did not converge" in sol.limit_note
+
+
+def test_kink_in_g_is_resolved_to_tolerance():
+    # y' + y = |x - 0.3|, y(0) = 1. Cells split toward the kink until their
+    # coefficients chop.
+    sol = solve_linear_ivp(parse("1"), parse("abs(x-0.3)"), ic(0.0, 1.0))
+    exact = 0.7757959380548054  # x - 1.3 + (2e^0.3 - 0.3) e^(-x)
+    assert abs(sol.value(0.3025255533948634) - exact) <= 1e-10 * exact
+    xs = np.linspace(-3.0, 3.0, 200_001)
+    c = 2.0 * math.exp(0.3) - 0.3
+    below = xs <= 0.3
+    ref = np.where(below, 1.3 - xs - 0.3 * np.exp(-xs),
+                   xs - 1.3 + c * np.exp(-xs))
+    # Relative to the formula's terms: near y's zero at x = -2.55 the
+    # formula itself keeps only the digits its terms share.
+    terms = np.abs(1.3 - xs) + np.where(below, 0.3, c) * np.exp(-xs)
+    assert np.all(np.abs(sol.values(xs) - ref) <= 1e-10 * terms)
+
+
+@pytest.mark.parametrize("spacing", [1.0 / 128.0, 400.0 / 256.0,
+                                     800.0 / 256.0])
+def test_weighted_overflow_is_located_at_any_spacing(spacing):
+    # y' + y = e^x: W's integrand e^(2t) leaves double range at
+    # ln(DBL_MAX)/2, where validity ends whatever the cell width.
+    cfg = QuadratureConfig(checkpoint_spacing=spacing)
+    sol = solve_linear_ivp(parse("1"), parse("exp(x)"), ic(0.0, 1.0), cfg)
+    sol.ensure_validity(0.0, 400.0)
+    assert abs(sol.validity.hi - math.log(sys.float_info.max) / 2.0) <= 1e-8
+    assert "overflows" in sol.limit_note
+
+
 def test_overflowing_quadrature_sums_raise_no_numpy_warning():
     # W = integral of exp(t^2) * e^t leaves double range near t = 26.6;
     # that ends the validity interval quietly, without a RuntimeWarning.
@@ -266,6 +320,26 @@ def test_overflowing_quadrature_sums_raise_no_numpy_warning():
         xs, ys = sol.sample(0.0, 400.0, 9)
     assert 354.0 < sol.validity.hi < 356.0
     assert np.all(np.isfinite(ys))
+
+
+@pytest.mark.parametrize("make, x", [
+    # (C1 + C2 t) e^(r t) with C2 t past double range
+    (lambda: solve_second_order(2.0, 1.0, 1.0, 1e300), 1e10),
+    (lambda: solve_second_order(-2.0, 1.0, 1.0, 1e300), -1e10),
+    # two real rates, r t past double range
+    (lambda: solve_second_order(1e300, 1.0, 1.0, 1.0), -1e10),
+    # cos(w t) with w t past double range
+    (lambda: solve_second_order(0.0, 1e300, 1.0, 1.0), 1e200),
+    # (1 - alpha) W + C past double range
+    (lambda: solve_bernoulli(parse("0"), parse("1e300"), -1e300,
+                             ic(0.0, 1.0)), 0.5),
+])
+def test_extreme_parameters_fail_without_numpy_warnings(make, x):
+    sol = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, bad, cause = sol._masked(np.array([x]))
+    assert bad[0] and isinstance(cause(), OdeformError)
 
 
 BATCH_SOLUTIONS = {

@@ -3,6 +3,7 @@ residual checks, the log-derivative invariant, and the combined driver."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from odeform import (
     InconclusiveError,
     InitialCondition,
     NoOverlapError,
+    OdeformError,
     OracleSolution,
     ParameterError,
     StageError,
     compare,
     full_verify,
+    QuadratureConfig,
     parse,
     residual_check,
     riccati_check,
@@ -292,6 +295,42 @@ def test_residual_rejects_wrong_sign():
     res = residual_check(LINEAR_DECAY, wrong, xrange=(0.0, 2.0))
     assert not res.passed
     assert res.max_deviation > 0.5
+
+
+def test_residual_allows_for_a_kink_in_g():
+    # y' + y = |x - 0.3|, y(0) = 1, in closed form. At a grid point on the
+    # kink the centered difference of the exact y is off by h/4 times the
+    # jump of y'' (2), 5e-6; the check allows for that, and still rejects
+    # the same y offset by 1e-5.
+    c = 2.0 * math.exp(0.3) - 0.3
+
+    def exact(xs):
+        return np.where(xs <= 0.3, 1.3 - xs - 0.3 * np.exp(-xs),
+                        xs - 1.3 + c * np.exp(-xs))
+
+    spec = EquationSpec.linear(parse("1"), parse("abs(x-0.3)"))
+    sol = ClosedFormSolution(EquationClass.LINEAR, exact, 0.0, {},
+                             "the exact solution")
+    res = residual_check(spec, sol, grid_size=201, xrange=(-1.0, 1.0))
+    assert res.passed, res.max_deviation
+    res = residual_check(spec, sol.perturbed(1e-5), grid_size=201,
+                         xrange=(-1.0, 1.0))
+    assert not res.passed
+
+
+def test_extreme_parameters_raise_no_numpy_warning():
+    # Every layer turns non-finite values into typed failures, so numpy's
+    # floating-point warnings stay quiet in the library, not only in the
+    # CLI, which switches them off.
+    spec = EquationSpec.exp_class(parse("1"), parse("1"), 1e308)
+    cfg = QuadratureConfig(checkpoint_spacing=(1e300 - 1e-9) / 256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            report = full_verify(spec, ic(1e300, 0.0), (1e-9, 1e300), cfg)
+        except OdeformError:
+            return
+    assert not report.passed
 
 
 def test_residual_second_order_and_exp():
