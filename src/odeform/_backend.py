@@ -86,8 +86,12 @@ def pow_vector(a: np.ndarray, b):
     return np.where(neg & odd, -r, r), bad
 
 
-def tape_eval(code, cval, need, xs):
-    """Run the compiled tape over ``xs``; returns (values, statuses)."""
+def tape_eval(code, cval, need, xs, abs_args=None):
+    """Run the compiled tape over ``xs``; returns (values, statuses).
+
+    A list passed as ``abs_args`` receives the argument of each abs, in
+    tape order.
+    """
     # Status is sticky: once a lane errors, later ops may compute garbage
     # there but never change its status, and the output lane is forced to
     # NaN at the end, as if the lane had stopped at its first error.
@@ -144,6 +148,8 @@ def tape_eval(code, cval, need, xs):
                     status[(a < 0.0) & ok] = ERR_SQRT_DOMAIN
                     r = np.sqrt(a)
                 elif op == OP_ABS:
+                    if abs_args is not None:
+                        abs_args.append(a.copy())
                     r = np.abs(a)
                 else:
                     r = np.arctan(a)

@@ -43,7 +43,7 @@ class EvalOverflowError(EvalError):
 
 class ConvergenceError(OdeformError):
     """Adaptive quadrature did not meet tolerance within its depth cap
-    (50 bisections) or its panel budget.
+    (50 bisections) or its budget of parts.
 
     Carries the last estimate so callers can still inspect it.
     """

@@ -300,6 +300,16 @@ class Expression:
                               np.array([x], dtype=np.float64))
         return self._error(int(status[0]), x) if status[0] else None
 
+    def abs_arguments(self, xs) -> list[np.ndarray]:
+        """The argument of each abs at the points xs, in tape order: where
+        one changes sign, the expression has a kink."""
+        if OP_ABS not in self._code:
+            return []
+        args = []
+        tape_eval(self._code, self._cval, self._need,
+                  np.ascontiguousarray(xs, dtype=np.float64), args)
+        return args
+
     def __repr__(self):
         return f"Expression({self.text!r})"
 

@@ -1,48 +1,47 @@
-"""Definite integrals and anchored antiderivatives.
+"""Definite integrals and anchored antiderivatives, both as Chebyshev cells.
 
-Definite integrals use the 15-point Kronrod rule with the embedded 7-point
-Gauss rule for error estimation, refined by adaptive bisection.
-integrate_many() advances every pending panel of every requested interval
-in one integrand call per refinement generation. Each panel's rule sums
-are formed row by row, so an interval's result is the same bit for bit in
-any batch. Tolerances come from a QuadratureConfig only.
+A cell is the integral of the degree-16 interpolant of the integrand at the
+17 Chebyshev points of the first kind (Trefethen, *Approximation Theory and
+Approximation Practice*, SIAM 2013, ch. 19), written as (x - a) * R(t) from
+the cell's inner end a. A cell whose last three coefficients, times its
+width, do not fit its share of the tolerance is bisected (Aurentz &
+Trefethen, "Chopping a Chebyshev series", *ACM TOMS* 43, 2017); every
+pending part of every cell is sampled in one integrand call per bisection
+generation. A cell's sums are formed row by row, so its result is the same
+bit for bit in any batch. Tolerances come from a QuadratureConfig only.
 
-Antiderivative realizes F(x) = integral of phi from x0 to x with F(x0) = 0
-exactly, as Chebyshev cells (Trefethen, *Approximation Theory and
-Approximation Practice*, SIAM 2013, ch. 19). The cells are
-[x0 + k*h, x0 + (k+1)*h] on either side of x0, built outward as queries
-reach them. On a cell, F is the integral of the degree-16 interpolant of
-phi at the 17 Chebyshev points of the first kind, written as
-(x - a) * Q(t) from the cell's end a nearer x0. A cell whose last three
-coefficients, times its width, do not fit its share of the tolerance is
-bisected (Aurentz & Trefethen, "Chopping a Chebyshev series", *ACM TOMS*
-43, 2017). A table keeps F at the cell ends as the running sum of the
-cell integrals, so a query is a table lookup plus a Clenshaw sum, and
-costs no integrand call once its cell exists. Every cell is computed as
-if alone, so the value at x is a pure function of x: query order, query
-history and batching cannot change results, and a table abscissa reads
-its table value exactly however large |x0| is. The table grows under an
-internal lock; concurrent queries from multiple threads are safe.
+integrate_many() makes each interval one cell, to max(abs_tol, rel_tol *
+|integral|). Antiderivative realizes F(x) = integral of phi from x0 to x
+with F(x0) = 0 exactly, on the cells [x0 + k*h, x0 + (k+1)*h] on either
+side of x0, built outward as queries reach them, each to abs_tol/256 or
+rel_tol of its own integral. A table keeps F at the cell ends as the
+running sum of the cell integrals, so a query is a table lookup plus a
+Clenshaw sum, and costs no integrand call once its cell exists. The value
+at x is a pure function of x: query order, query history and batching
+cannot change results, and a table abscissa reads its table value exactly
+however large |x0| is. The table grows under an internal lock; concurrent
+queries from multiple threads are safe.
 
 Integrands only need to be Riemann integrable on bounded intervals; strict
-accuracy claims hold for piecewise-smooth ones. Panels and cells that
-shrink to the floating-point limit stop splitting, and their error still
-counts against their interval or cell.
+accuracy claims hold for piecewise-smooth ones. Parts that shrink to the
+floating-point limit stop splitting, and their error still counts against
+their cell.
 
 Failure is per interval, as QUADPACK reports it with a per-integral flag
 (Piessens et al., *QUADPACK*, Springer 1983). Integrands mark a node they
 cannot evaluate with a non-finite value (an Expression does so through
 its tape statuses). An interval of integrate_many fails as soon as one of
-its nodes is not finite, and such a panel is never split; it also fails if
-it misses tolerance after _MAX_DEPTH (50) bisections, a fixed cap, or once
-it holds more than _PANEL_BUDGET panels at one depth. So an interval's
-result never depends on the other intervals of its batch. A cell with a
+its samples is not finite; it also fails if it misses tolerance after
+_MAX_DEPTH (50) bisections, a fixed cap, or once it holds more than
+_PANEL_BUDGET parts at one depth. So an interval's result never depends on
+the other intervals of its batch. An antiderivative's cell with a
 non-finite sample is bisected toward that sample instead, and the first
 cell going out from x0 that fails for good ends the table: F is NaN from
 where that cell fails outward. The masked forms (``masked=True``) return
 NaN where they fail. The plain forms raise from the first failed point:
 the integrand's own typed error at the failing node, an EvalError for a
-node where a plain callable returned a non-finite value, or a
+node where a plain callable returned a non-finite value, an
+EvalOverflowError for an integral outside double range, or a
 ConvergenceError carrying the last estimate.
 """
 
@@ -69,55 +68,11 @@ __all__ = [
     "as_array_fn",
 ]
 
-# 15-point Kronrod abscissae (positive half, descending) and weights, with
-# the embedded 7-point Gauss weights. Values carry more digits than double
-# precision keeps.
-_XGK_HALF = np.array([
-    0.9914553711208126392068546975263285,
-    0.9491079123427585245261896840478513,
-    0.8648644233597690727897127886409262,
-    0.7415311855993944398638647732807884,
-    0.5860872354676911302941448382587296,
-    0.4058451513773971669066064120769615,
-    0.2077849550078984676006894037732449,
-    0.0,
-])
-_WGK_HALF = np.array([
-    0.0229353220105292249637320080589695,
-    0.0630920926299785532907006631892042,
-    0.1047900103222501838398763225415180,
-    0.1406532597155259187451895905102379,
-    0.1690047266392679028265834265985503,
-    0.1903505780647854099132564024210137,
-    0.2044329400752988924141619992346491,
-    0.2094821410847278280129991748917143,
-])
-_WG_HALF = np.array([
-    0.1294849661688696932706114326790820,
-    0.2797053914892766679014677714237796,
-    0.3818300505051189449503697754889751,
-    0.4179591836734693877551020408163265,
-])
-
-_NODES = np.empty(15)
-_WK = np.empty(15)
-_WG15 = np.zeros(15)
-for _j in range(7):
-    _NODES[_j] = -_XGK_HALF[_j]
-    _NODES[14 - _j] = _XGK_HALF[_j]
-    _WK[_j] = _WK[14 - _j] = _WGK_HALF[_j]
-_NODES[7] = 0.0
-_WK[7] = _WGK_HALF[7]
-# Gauss nodes sit at every other Kronrod node: indices 1, 3, 5, 7, 9, 11, 13.
-for _j, _w in zip((1, 3, 5), _WG_HALF[:3]):
-    _WG15[_j] = _WG15[14 - _j] = _w
-_WG15[7] = _WG_HALF[3]
-
 _EPS = np.finfo(np.float64).eps
 _DEFAULT_SPACING = 1.0 / 128.0
 _MAX_SEGMENTS = 1 << 21  # guard against runaway checkpoint tables
-_PANEL_BUDGET = 10_000   # per-interval cap on the panels it holds at a depth
-_MAX_DEPTH = 50          # bisections before an interval stops splitting
+_PANEL_BUDGET = 10_000   # per-cell cap on the parts it holds at a depth
+_MAX_DEPTH = 50          # bisections before a cell stops splitting
 
 
 @dataclass(frozen=True)
@@ -180,182 +135,6 @@ def as_array_fn(f, masked: bool = False):
 
     return wrapped
 
-
-def _gk_panels(fn, pa, pb):
-    """Apply the Kronrod rule on every [pa[i], pb[i]]; returns (val, err,
-    saturated, lost). ``lost`` is None when every panel is fine, else per
-    panel NaN for a fine one, the first node where fn is not finite, or
-    inf for a panel whose estimate left double range."""
-    half = 0.5 * (pb - pa)
-    mid = 0.5 * pa + 0.5 * pb
-    pts = mid[:, None] + half[:, None] * _NODES[None, :]
-    vals = fn(pts.ravel()).reshape(pts.shape)
-    # Sums that leave double range are caught below, not warned about. The
-    # rule sums are einsum row by row, never BLAS mat-vecs, whose rounding
-    # depends on the shape of the whole batch.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Every Kronrod weight is positive, so a non-finite node makes its
-        # panel's sum non-finite; only such panels are searched for it.
-        resk_u = np.einsum("ij,j->i", vals, _WK)
-        lost = None
-        if not math.isfinite(resk_u.sum()):
-            bad = ~np.isfinite(resk_u)
-            lost = np.where(bad, np.inf, np.nan)
-            rows = np.flatnonzero(bad)
-            nonfinite = ~np.isfinite(vals[rows])
-            has = nonfinite.any(axis=1)
-            lost[rows[has]] = pts[rows[has], np.argmax(nonfinite[has], 1)]
-            vals = np.where(bad[:, None], 0.0, vals)
-            resk_u = np.einsum("ij,j->i", vals, _WK)
-        resg_u = np.einsum("ij,j->i", vals, _WG15)
-        resabs = np.einsum("ij,j->i", np.abs(vals), _WK) * np.abs(half)
-        dev = np.abs(vals - 0.5 * resk_u[:, None])
-        resasc = np.einsum("ij,j->i", dev, _WK) * np.abs(half)
-        err = np.abs(resk_u - resg_u) * np.abs(half)
-        # Standard inflation of the raw |K - G| difference, which by itself
-        # can be an optimistic estimate on panels the rule only just
-        # resolves.
-        mask = (resasc > 0.0) & (err > 0.0)
-        scaled = np.minimum(1.0, (200.0 * err[mask] / resasc[mask]) ** 1.5)
-        err[mask] = resasc[mask] * scaled
-        # Round-off floor: once the estimate is dominated by
-        # 50*eps*int(|f|), subdividing cannot improve it, so such panels
-        # are reported saturated and the driver stops splitting them.
-        floor = 50.0 * _EPS * resabs
-        saturated = err <= floor
-        err = np.maximum(err, floor)
-        if not math.isfinite(err.sum()):
-            if lost is None:
-                lost = np.full(pa.shape, np.nan)
-            lost[np.isnan(lost) & ~np.isfinite(err)] = np.inf
-        return resk_u * half, err, saturated, lost
-
-
-def _integrate(fn, a, b, cfg):
-    """Masked core of integrate_many; ``fn`` returns non-finite values at
-    the nodes it cannot evaluate. Returns per interval (estimate, error
-    estimate, node, failed): node is the first node where fn was not
-    finite (NaN if none), or None when no interval had such a node or an
-    overflow. A failed interval's estimate is junk, or infinite where the
-    interval was dropped for a node or an overflow.
-    """
-    n = a.size
-    sign = np.where(b >= a, 1.0, -1.0)
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    width = hi - lo
-
-    total = np.zeros(n)
-    etotal = np.zeros(n)
-    node = None
-    iv = np.nonzero(width > 0.0)[0]
-    pa = lo[iv]
-    pb = hi[iv]
-
-    depth = 0
-    while iv.size:
-        val, err, saturated, lost = _gk_panels(fn, pa, pb)
-        if lost is not None and not np.isnan(lost).all():
-            # Panels of one interval are contiguous and in order, so the
-            # first lost panel of each interval is its leftmost one.
-            hit = ~np.isnan(lost)
-            ivs, first = np.unique(iv[hit], return_index=True)
-            if node is None:
-                node = np.full(n, np.nan)
-            node[ivs] = lost[hit][first]
-            total[ivs] = np.inf
-            gone = np.zeros(n, bool)
-            gone[ivs] = True
-            live = ~gone[iv]
-            iv, pa, pb = iv[live], pa[live], pb[live]
-            val, err, saturated = val[live], err[live], saturated[live]
-        est = total + np.bincount(iv, weights=val, minlength=n)
-        tol_iv = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(est))[iv]
-        share = tol_iv * ((pb - pa) / width[iv])
-        tiny = (pb - pa) <= 100.0 * _EPS * np.maximum(
-            1.0, np.maximum(np.abs(pa), np.abs(pb)))
-        done = (err <= share) | tiny | saturated
-        if depth >= _MAX_DEPTH:
-            done[:] = True
-        elif iv.size > _PANEL_BUDGET and 2 ** depth > _PANEL_BUDGET:
-            # Only from here on can one interval hold more panels than the
-            # budget; those that do stop splitting.
-            done |= np.bincount(iv, minlength=n)[iv] > _PANEL_BUDGET
-        if done.any():
-            d = np.nonzero(done)[0]
-            total += np.bincount(iv[d], weights=val[d], minlength=n)
-            etotal += np.bincount(iv[d], weights=err[d], minlength=n)
-        keep = ~done
-        if not keep.any():
-            break
-        iv = np.repeat(iv[keep], 2)
-        mids = 0.5 * pa[keep] + 0.5 * pb[keep]
-        pa = np.stack([pa[keep], mids], axis=1).ravel()
-        pb = np.stack([mids, pb[keep]], axis=1).ravel()
-        depth += 1
-
-    tol_final = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
-    failed = (etotal > tol_final) | ~np.isfinite(total)
-    if node is not None:
-        node[np.isinf(node)] = np.nan  # lost to an overflow, not to a node
-    return sign * total, etotal, node, failed
-
-
-def _node_error(fn, t: float) -> EvalError:
-    """The typed error for an integrand node t where fn is not finite."""
-    if isinstance(fn, (Expression, _Weighted)):
-        err = fn._error_at(t)
-        if err is not None:
-            return err
-    v = float(as_array_fn(fn, masked=True)(np.array([t]))[0])
-    kind = EvalOverflowError if math.isinf(v) else EvalDomainError
-    return kind(f"integrand returned {v!r}", t)
-
-
-def integrate_many(fn, a, b, cfg: QuadratureConfig | None = None, *,
-                   masked: bool = False) -> np.ndarray:
-    """Integrate ``fn`` over each interval [a[i], b[i]] adaptively, to the
-    tolerances of ``cfg`` (the defaults when None).
-
-    Reversed intervals integrate the ordered interval and negate, so the
-    result is exactly antisymmetric under swapping bounds. Zero-width
-    intervals contribute exactly 0.0 without evaluating the integrand.
-    Raises the typed error of the first failed interval; with ``masked``
-    a failed interval reads NaN instead.
-    """
-    cfg = cfg or _DEFAULT_CFG
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_1d(np.asarray(b, dtype=np.float64))
-    if a.shape != b.shape or a.ndim != 1:
-        raise ParameterError("bounds must be 1-D arrays of equal length")
-    if a.size and not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ParameterError("integration bounds must be finite")
-    masked_fn = as_array_fn(fn, masked=True)
-    est, err, node, failed = _integrate(masked_fn, a, b, cfg)
-    if not failed.any():
-        return est
-    if masked:
-        est[failed] = np.nan
-        return est
-    i = int(np.argmax(failed))
-    if node is not None and not math.isnan(node[i]):
-        raise _node_error(fn, float(node[i]))
-    if not math.isfinite(est[i]):
-        raise EvalOverflowError("integral outside double range", float(b[i]))
-    raise ConvergenceError(
-        f"quadrature did not converge within max_depth={_MAX_DEPTH}",
-        estimate=float(est[i]), error_estimate=float(err[i]),
-        interval=(float(a[i]), float(b[i])))
-
-
-def integrate(fn, a: float, b: float,
-              cfg: QuadratureConfig | None = None) -> float:
-    """Definite integral of ``fn`` over [a, b] to the configured tolerance."""
-    return float(integrate_many(fn, np.array([a]), np.array([b]), cfg)[0])
-
-
-# ---------------------------------------------------------------------------
-# Chebyshev cells
 
 _DEG = 16  # degree of a cell's interpolant
 
@@ -446,87 +225,89 @@ def _clenshaw(coef, idx, t):
     return coef[0][idx] + t * b1 - b2
 
 
-def _cells(fn, ends, cfg):
-    """Chebyshev cells between consecutive ``ends``, ordered outward.
+def _cells(fn, a, b, share, rel_tol, chain):
+    """Chebyshev cells from a[i] to b[i], all of one orientation.
 
     ``fn`` is a masked integrand. A cell is accepted where its last three
-    coefficients, times its width, fit its share of the tolerance:
-    max(abs_tol/256, rel_tol * |cell integral|) in proportion to its width
-    (a chain of 256 cells stays within abs_tol), or are down to what
+    coefficients, times its width, fit its tolerance max(share, rel_tol *
+    |cell integral|) in proportion to its width, or are down to what
     rounding its samples and their positions puts in them. Otherwise it is
     bisected, up to _MAX_DEPTH times; a part at the floating-point width
     limit, at the depth cap or over _PANEL_BUDGET stops splitting, and its
-    error counts against its cell. A part with a non-finite sample is
-    bisected toward the first such sample going outward, and every part
-    beyond that sample is dropped. A cell fails when its error exceeds its
-    tolerance or it reaches that sample, and no cell beyond the first
-    failing one is kept.
+    error counts against its cell. A cell fails when its error exceeds its
+    tolerance or one of its samples is not finite. On its own, a cell with
+    such a sample is dropped at once. In a ``chain``, cells run outward
+    from a[0], each from the end of the one before: there a cell is
+    bisected toward its first such sample going outward, and every part
+    beyond that sample, in that cell or a later one, is dropped.
 
-    Returns (total, parts, fail). ``total`` holds each kept cell's signed
-    integral. ``parts`` = (cell, a, w, excl, coef) lists the kept parts in
-    outward order: inner end a, signed width w, the integral from the
-    cell's inner end to a, and the coefficients of R. ``fail`` is None, or
-    (cell, end, node, estimate, error) for the first failing cell: F fails
-    from ``end`` outward, at the first non-finite sample or at the part
-    that adds most to the cell's error, whichever comes first. ``node`` is
-    that sample (NaN if the cell has none), and estimate and error are
-    those of the cell's ordered interval.
+    Returns (total, etotal, node, missed, parts). Per cell: the signed
+    integral and the error of its kept parts, its first non-finite sample
+    (NaN if none) and whether it missed its tolerance. ``parts`` = (cid,
+    a, w, excl, coef, err) lists the kept parts by cell, then outward:
+    inner end a, signed width w, the integral from the cell's inner end to
+    a, the coefficients of R and the error.
     """
-    n = ends.size - 1
-    s = 1.0 if ends[-1] > ends[0] else -1.0
-    width = ends[1:] - ends[:-1]
-    share = cfg.abs_tol / 256.0
+    n = a.size
+    s = 1.0 if b[0] > a[0] else -1.0
+    width = b - a
     cid = np.arange(n)
-    a, b = ends[:-1], ends[1:]
+    pa, pb = a, b
     est = np.zeros(n)
-    cut, node = math.inf, math.nan  # outward position of the first bad sample
+    cut = np.full(n, np.inf)  # outward position of each cell's bad sample
+    node = np.full(n, np.nan)
     done = []
     depth = 0
     while cid.size:
-        pts = (0.5 * a + 0.5 * b)[:, None] + (0.5 * (b - a))[:, None] * _TAU
+        pts = (0.5 * pa + 0.5 * pb)[:, None] + (0.5 * (pb - pa))[:, None] * _TAU
         vals = fn(pts.ravel()).reshape(pts.shape)
         finite = np.isfinite(vals)
         bad = ~finite.all(axis=1)
         if bad.any():
             rows = np.flatnonzero(bad)
-            first = pts[rows, np.argmax(~finite[rows], axis=1)]
-            i = int(np.argmin(s * first))
-            if s * first[i] < cut:
-                cut, node = s * first[i], float(first[i])
+            first = np.full(n, np.inf)
+            np.minimum.at(first, cid[rows],
+                          s * pts[rows, np.argmax(~finite[rows], axis=1)])
+            new = first < cut
+            node[new] = s * first[new]
+            if chain:
+                cut = np.minimum.accumulate(np.minimum(cut, first))
+            else:
+                cut[new] = -np.inf
             vals = np.where(finite, vals, 0.0)
-        span = np.maximum(np.abs(a), np.abs(b))
-        coef, val, err, grain = _fit(vals, b - a, span)
+        span = np.maximum(np.abs(pa), np.abs(pb))
+        coef, val, err, grain = _fit(vals, pb - pa, span)
         ok = (~bad & np.isfinite(val) & np.isfinite(err)
               & np.isfinite(coef).all(axis=0))
         val[~ok] = 0.0
         err[~ok] = np.inf
-        live = s * a < cut
+        live = s * pa < cut[cid]
         cur = est + np.bincount(cid[live], weights=val[live], minlength=n)
-        tol = np.maximum(share, cfg.rel_tol * np.abs(cur))
-        settled = ok & ((err <= tol[cid] * np.abs((b - a) / width[cid]))
+        tol = np.maximum(share, rel_tol * np.abs(cur))
+        settled = ok & ((err <= tol[cid] * np.abs((pb - pa) / width[cid]))
                         | (err <= grain))
-        tiny = np.abs(b - a) <= 100.0 * _EPS * np.maximum(1.0, span)
+        tiny = np.abs(pb - pa) <= 100.0 * _EPS * np.maximum(1.0, span)
         stop = settled | tiny
         if depth >= _MAX_DEPTH:
             stop[:] = True
         elif cid.size > _PANEL_BUDGET and 2 ** depth > _PANEL_BUDGET:
             stop |= np.bincount(cid, minlength=n)[cid] > _PANEL_BUDGET
         stop &= live
-        done.append((cid[stop], a[stop], b[stop], coef[:, stop], val[stop],
+        done.append((cid[stop], pa[stop], pb[stop], coef[:, stop], val[stop],
                      err[stop]))
         est += np.bincount(cid[stop], weights=val[stop], minlength=n)
         go = live & ~stop
         cid = np.repeat(cid[go], 2)
-        mid = 0.5 * a[go] + 0.5 * b[go]
-        a, b = (np.stack((a[go], mid), axis=1).ravel(),
-                np.stack((mid, b[go]), axis=1).ravel())
+        mid = 0.5 * pa[go] + 0.5 * pb[go]
+        pa, pb = (np.stack((pa[go], mid), axis=1).ravel(),
+                  np.stack((mid, pb[go]), axis=1).ravel())
         depth += 1
 
-    cid, a, b, coef, val, err = (
+    cid, pa, pb, coef, val, err = (
         np.concatenate(col, axis=-1) for col in zip(*done))
-    order = np.argsort(s * a, kind="stable")
-    order = order[s * a[order] < cut]
-    cid, a, b, coef = cid[order], a[order], b[order], coef[:, order]
+    order = np.lexsort((s * pa, cid))
+    order = order[s * pa[order] < cut[cid[order]]]
+    cid, pa, pb, coef = cid[order], pa[order], pb[order], coef[:, order]
     val, err = val[order], err[order]
     counts = np.bincount(cid, minlength=n)
     start = np.concatenate(([0], np.cumsum(counts)))
@@ -542,27 +323,77 @@ def _cells(fn, ends, cfg):
             total[c] = run[-1]
             excl[start[c] + 1:start[c + 1]] = run[:-1]
         etotal = np.bincount(cid, weights=err, minlength=n)
-        tol = np.maximum(share, cfg.rel_tol * np.abs(total))
+        tol = np.maximum(share, rel_tol * np.abs(total))
     missed = ~(etotal <= tol) | ~np.isfinite(total)
-    reached = cut < s * ends[1:]  # the first bad sample lies before its end
-    failed = missed | reached
-    parts = (cid, a, b - a, excl, coef)
+    return total, etotal, node, missed, (cid, pa, pb - pa, excl, coef, err)
+
+
+def _node_error(fn, t: float) -> EvalError:
+    """The typed error for an integrand node t where fn is not finite."""
+    if isinstance(fn, (Expression, _Weighted)):
+        err = fn._error_at(t)
+        if err is not None:
+            return err
+    v = float(as_array_fn(fn, masked=True)(np.array([t]))[0])
+    kind = EvalOverflowError if math.isinf(v) else EvalDomainError
+    return kind(f"integrand returned {v!r}", t)
+
+
+def _failure(fn, node, estimate, error, interval, at) -> EvalError:
+    """The typed error of a failed integral: the integrand's own at its
+    first non-finite node, an EvalOverflowError at ``at`` where the
+    integral left double range, else a ConvergenceError."""
+    if not math.isnan(node):
+        return _node_error(fn, float(node))
+    if not (math.isfinite(estimate) and math.isfinite(error)):
+        return EvalOverflowError("integral outside double range", float(at))
+    return ConvergenceError(
+        f"quadrature did not converge within max_depth={_MAX_DEPTH}",
+        estimate=float(estimate), error_estimate=float(error),
+        interval=tuple(float(v) for v in interval))
+
+
+def integrate_many(fn, a, b, cfg: QuadratureConfig | None = None, *,
+                   masked: bool = False) -> np.ndarray:
+    """Integrate ``fn`` over each interval [a[i], b[i]] to the tolerances
+    of ``cfg`` (the defaults when None), each as one Chebyshev cell
+    bisected as needed, to max(abs_tol, rel_tol * |integral|).
+
+    Reversed intervals integrate the ordered interval and negate, so the
+    result is exactly antisymmetric under swapping bounds. Zero-width
+    intervals contribute exactly 0.0 without evaluating the integrand.
+    Raises the typed error of the first failed interval; with ``masked``
+    a failed interval reads NaN instead.
+    """
+    cfg = cfg or _DEFAULT_CFG
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_1d(np.asarray(b, dtype=np.float64))
+    if a.shape != b.shape or a.ndim != 1:
+        raise ParameterError("bounds must be 1-D arrays of equal length")
+    if a.size and not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ParameterError("integration bounds must be finite")
+    est, err = np.zeros(a.size), np.zeros(a.size)
+    node, failed = np.full(a.size, np.nan), np.zeros(a.size, bool)
+    iv = np.flatnonzero(a != b)
+    if iv.size:
+        est[iv], err[iv], node[iv], failed[iv], _ = _cells(
+            as_array_fn(fn, masked=True), np.minimum(a[iv], b[iv]),
+            np.maximum(a[iv], b[iv]), cfg.abs_tol, cfg.rel_tol, False)
+        failed |= ~np.isnan(node)
+    est *= np.where(b >= a, 1.0, -1.0)
     if not failed.any():
-        return total, parts, None
-    # F fails from the first bad sample in the first failing cell, or, if
-    # the cell misses its tolerance, from the part that adds most to its
-    # error if that comes first.
-    f = int(np.argmax(failed))
-    lo, hi = start[f], start[f + 1]
-    cand = [node] if reached[f] else []
-    if missed[f] and hi > lo:
-        cand.append(float(a[lo + np.argmax(err[lo:hi])]))
-    end = min(cand, key=lambda x: s * x)
-    keep = lo + int(np.count_nonzero(s * a[lo:hi] < s * end))
-    parts = tuple(p[..., :keep] for p in parts)
-    fail = (f, end, node if reached[f] else math.nan, s * total[f],
-            etotal[f])
-    return total[:f], parts, fail
+        return est
+    if masked:
+        est[failed] = np.nan
+        return est
+    i = int(np.argmax(failed))
+    raise _failure(fn, node[i], est[i], err[i], (a[i], b[i]), b[i])
+
+
+def integrate(fn, a: float, b: float,
+              cfg: QuadratureConfig | None = None) -> float:
+    """Definite integral of ``fn`` over [a, b] to the configured tolerance."""
+    return float(integrate_many(fn, np.array([a]), np.array([b]), cfg)[0])
 
 
 class _Side:
@@ -666,14 +497,32 @@ class Antiderivative:
             self.eval_count += xs.size
             return self._masked(xs)
 
-        total, (cid, a, w, excl, coef), fail = _cells(counted, ends,
-                                                      self._cfg)
+        cfg, sgn = self._cfg, side.sign
+        total, etotal, node, missed, parts = _cells(
+            counted, ends[:-1], ends[1:], cfg.abs_tol / 256.0, cfg.rel_tol,
+            True)
+        failed = missed | ~np.isnan(node)
+        if failed.any():
+            # F fails from the first bad sample in the first failing cell,
+            # or, if the cell misses its tolerance, from the part that adds
+            # most to its error if that comes first.
+            f = int(np.argmax(failed))
+            cid, a, err = parts[0], parts[1], parts[5]
+            lo, hi = np.searchsorted(cid, [f, f + 1])
+            cand = [] if math.isnan(node[f]) else [float(node[f])]
+            if missed[f] and hi > lo:
+                cand.append(float(a[lo + np.argmax(err[lo:hi])]))
+            side.end = min(cand, key=lambda x: sgn * x)
+            keep = lo + int(np.count_nonzero(sgn * a[lo:hi] < sgn * side.end))
+            parts = tuple(p[..., :keep] for p in parts)
+            side.fail = (float(ends[f]), float(ends[f + 1]), float(node[f]),
+                         sgn * total[f], etotal[f])
+            total = total[:f]
+        cid, a, w, excl, coef, _ = parts
         with np.errstate(over="ignore", invalid="ignore"):
             tab = np.add.accumulate(np.concatenate((side.tab[-1:], total)))
             base = tab[cid] + excl
-        if fail is not None:
-            f, side.end, node, est, err = fail
-            side.fail = (float(ends[f]), float(ends[f + 1]), node, est, err)
+        if side.fail is not None:
             tab = np.append(tab, np.nan)
         counts = np.bincount(cid, minlength=tab.size - 1)
         side.first = np.concatenate((side.first,
@@ -739,14 +588,8 @@ class Antiderivative:
         if not past:
             return EvalDomainError("antiderivative is not finite", x)
         inner, outer, node, est, err = fail
-        if not math.isnan(node):
-            return _node_error(self._src, node)
-        if not math.isfinite(est):
-            return EvalOverflowError("integral outside double range", outer)
-        return ConvergenceError(
-            f"quadrature did not converge within max_depth={_MAX_DEPTH}",
-            estimate=float(est), error_estimate=float(err),
-            interval=(min(inner, outer), max(inner, outer)))
+        return _failure(self._src, node, est, err,
+                        (min(inner, outer), max(inner, outer)), outer)
 
     def value(self, x: float) -> float:
         return float(self.values(np.array([x], dtype=np.float64))[0])

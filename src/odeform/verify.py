@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import (EvalDomainError, InconclusiveError, NoOverlapError,
                      OdeformError, ParameterError, StageError)
+from .expr import Expression
 from .quad import QuadratureConfig, as_array_fn
 from .solvers import (ClosedFormSolution, EquationClass, EquationSpec,
                       InitialCondition, construct, signed_power,
@@ -369,68 +370,95 @@ def _interior_grid(sol: ClosedFormSolution, xrange, grid_size: int,
     return np.linspace(glo, ghi, int(grid_size))
 
 
+def _kink_sides(spec: EquationSpec, xs: np.ndarray, h: float) -> np.ndarray:
+    """The first-difference stencil of each grid point: 0 for the centered
+    one, +1 or -1 for the one-sided 3-point one on [x, x + 2h] or
+    [x - 2h, x]. A point leaves the centered stencil only where the argument
+    of an abs in f or g takes both signs on it, and then for a side where
+    none does."""
+    pts = (xs[None, :] + h * np.arange(-2.0, 3.0)[:, None]).ravel()
+    args = [a for e in (spec.f, spec.g) if isinstance(e, Expression)
+            for a in e.abs_arguments(pts)]
+    side = np.zeros(xs.size)
+    if not args:
+        return side
+    sg = np.sign(np.stack(args)).reshape(len(args), 5, xs.size)
+
+    def straddled(lo):
+        w = sg[:, lo:lo + 3]
+        return ((w.min(axis=1) < 0.0) & (w.max(axis=1) > 0.0)).any(axis=0)
+
+    centered, left, right = straddled(1), straddled(0), straddled(2)
+    side[centered & ~left] = -1.0
+    side[centered & left & ~right] = 1.0
+    return side
+
+
 def residual_check(spec: EquationSpec, sol: ClosedFormSolution,
                    grid_size: int = 200, xrange=None,
                    tol: float | None = None) -> CheckResult:
     """Finite-difference residual of the equation on an interior grid.
 
-    Deviation is max(|residual| - slack) / (1 + scale); scale is the
-    largest grid magnitude among the equation's individual terms, so steep
-    solutions are judged relative to their own size. For the first-order
-    classes, slack is a quarter of the second difference, over the stencil,
-    of the y' the equation prescribes: the centered difference's own error
-    where f or g has a kink inside the stencil, and O(h^2) elsewhere; it is
-    0 for second order, whose coefficients are constant. Default tolerance
-    is 1e-6 for the first-order classes and 1e-5 for second order (the
-    second difference amplifies rounding by 1/h^2).
+    Deviation is max |residual| / (1 + scale); scale is the largest grid
+    magnitude among the equation's individual terms, so steep solutions are
+    judged relative to their own size. Default tolerance is 1e-6 for the
+    first-order classes and 1e-5 for second order (the second difference
+    amplifies rounding by 1/h^2).
+
+    y' is the centered difference, except where f or g has a kink, found
+    as a sign change of an abs argument, inside the stencil: y'' jumps
+    there, which leaves the centered difference only O(h) accurate, so the
+    one-sided 3-point difference on the kink-free side is used instead.
     """
     second = spec.kind == EquationClass.SECOND_ORDER
     h = _H_SECOND if second else _H_FIRST
     if tol is None:
         tol = _RESIDUAL_TOL2 if second else _CHECK_TOL
     xs = _interior_grid(sol, xrange, grid_size, h)
-    n = len(xs)
     stacked = np.concatenate([xs - h, xs, xs + h])
     vals = sol.values(stacked)
-    ym, y0, yp = vals[:n], vals[n:2 * n], vals[2 * n:]
-    d1 = (yp - ym) / (2.0 * h)
-    slack = 0.0
+    ym, y0, yp = vals[:len(xs)], vals[len(xs):2 * len(xs)], vals[2 * len(xs):]
+    if not second:
+        side = _kink_sides(spec, xs, h)
+        k = np.flatnonzero(side)
+        far = sol.values(xs[k] + 2.0 * h * side[k])
 
     with np.errstate(over="ignore", invalid="ignore"):
+        d1 = (yp - ym) / (2.0 * h)
+        if not second and k.size:
+            near = np.where(side[k] > 0.0, yp[k], ym[k])
+            d1[k] = side[k] * (4.0 * near - 3.0 * y0[k] - far) / (2.0 * h)
         if second:
             d2 = (yp - 2.0 * y0 + ym) / (h * h)
             terms = (d2, spec.b * d1, spec.c * y0)
             residual = d2 + spec.b * d1 + spec.c * y0
+        elif spec.kind == EquationClass.LINEAR:
+            fv = as_array_fn(spec.f)(xs)
+            gv = as_array_fn(spec.g)(xs)
+            terms = (d1, fv * y0, gv)
+            residual = d1 + fv * y0 - gv
+        elif spec.kind == EquationClass.BERNOULLI:
+            fv = as_array_fn(spec.f)(xs)
+            gv = as_array_fn(spec.g)(xs)
+            ya, bad = pow_vector(y0, float(spec.alpha))
+            if bad.any():
+                raise EvalDomainError(
+                    "y^alpha has no real value in the residual",
+                    float(xs[int(np.argmax(bad))]))
+            terms = (d1, fv * y0, gv * ya)
+            residual = d1 + fv * y0 - gv * ya
         else:
-            # q is the y' the equation prescribes: d1 - q is the residual.
-            fv = as_array_fn(spec.f)(stacked)
-            gv = as_array_fn(spec.g)(stacked)
-            if spec.kind == EquationClass.LINEAR:
-                fy, gy = fv * vals, gv
-            elif spec.kind == EquationClass.BERNOULLI:
-                ya, bad = pow_vector(vals, float(spec.alpha))
-                if bad.any():
-                    raise EvalDomainError(
-                        "y^alpha has no real value in the residual",
-                        float(stacked[int(np.argmax(bad))]))
-                fy, gy = fv * vals, gv * ya
-            else:
-                z = float(spec.beta) * vals
-                if (z > EXP_MAX).any():
-                    raise OdeformError("exp(beta*y) overflow in the residual")
-                fy, gy = fv * np.exp(z), gv
-            q = gy - fy
-            terms = (d1, fy[n:2 * n], gy[n:2 * n])
-            residual = d1 - q[n:2 * n]
-            # The centered difference is the mean of q over [x-h, x+h]. Where
-            # f or g has a kink in there it misses q(x) by up to a quarter
-            # of q's second difference (exactly that with the kink at x);
-            # elsewhere that quarter is O(h^2 q'') and negligible.
-            slack = np.abs(q[2 * n:] - 2.0 * q[n:2 * n] + q[:n]) / 4.0
+            fv = as_array_fn(spec.f)(xs)
+            gv = as_array_fn(spec.g)(xs)
+            z = float(spec.beta) * y0
+            if (z > EXP_MAX).any():
+                raise OdeformError("exp(beta*y) overflow in the residual")
+            ey = np.exp(z)
+            terms = (d1, fv * ey, gv)
+            residual = d1 + fv * ey - gv
 
     scale = max(float(np.max(np.abs(t))) for t in terms)
-    dev = float(np.max(np.maximum(np.abs(residual) - slack, 0.0))) / (
-        1.0 + scale)
+    dev = float(np.max(np.abs(residual))) / (1.0 + scale)
     return CheckResult("residual", dev, float(tol), dev <= tol, len(xs))
 
 

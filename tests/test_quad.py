@@ -163,10 +163,18 @@ def test_failed_segment_names_its_ordered_interval_on_either_side():
         assert a < 0.0 < b, x0
         # The same error as the cell built outward on its own.
         inner, outer = (a, b) if x0 < 0.0 else (b, a)
-        _, _, fail = quad._cells(quad.as_array_fn(fn, masked=True),
-                                 np.array([inner, outer]), QuadratureConfig())
-        assert info.value.estimate == fail[3], x0
-        assert info.value.error_estimate == fail[4], x0
+        cfg = QuadratureConfig()
+        total, etotal, _, missed, _ = quad._cells(
+            quad.as_array_fn(fn, masked=True), np.array([inner]),
+            np.array([outer]), cfg.abs_tol / 256.0, cfg.rel_tol, True)
+        assert missed[0], x0
+        assert info.value.estimate == math.copysign(1.0, outer - inner) \
+            * total[0], x0
+        assert info.value.error_estimate == etotal[0], x0
+        # Independently of that code: the principal value of the integral,
+        # log(b/|a|), lies within the reported error of the estimate.
+        assert abs(info.value.estimate - math.log(b / -a)) \
+            <= info.value.error_estimate, x0
         # F fails at the pole, not at the cell's inner end.
         got = F.values(np.array([near, past]), masked=True)
         assert math.isfinite(got[0]) and math.isnan(got[1]), x0
@@ -289,8 +297,11 @@ def test_checkpoints_are_running_sums_of_single_cells():
         acc = 0.0
         for k in range(0, k_end, step):
             ends = x0 + np.array([k, k + step]) * h
-            total, _, fail = quad._cells(masked, ends, QuadratureConfig())
-            assert fail is None
+            cfg = QuadratureConfig()
+            total, _, node, missed, _ = quad._cells(
+                masked, ends[:1], ends[1:], cfg.abs_tol / 256.0, cfg.rel_tol,
+                True)
+            assert not missed[0] and math.isnan(node[0])
             acc += float(total[0])
             expected[k + step] = acc
     assert [v for _, v in F.checkpoints()] == [expected[k] for k in ks]

@@ -297,25 +297,41 @@ def test_residual_rejects_wrong_sign():
     assert res.max_deviation > 0.5
 
 
-def test_residual_allows_for_a_kink_in_g():
-    # y' + y = |x - 0.3|, y(0) = 1, in closed form. At a grid point on the
-    # kink the centered difference of the exact y is off by h/4 times the
-    # jump of y'' (2), 5e-6; the check allows for that, and still rejects
-    # the same y offset by 1e-5.
-    c = 2.0 * math.exp(0.3) - 0.3
+@pytest.mark.parametrize("kink", [0.3, 0.300004, 0.299996])
+def test_residual_steps_around_a_kink_in_g(kink):
+    # y' + y = |x - k|, y(0) = 1, in closed form. y'' jumps by 2 at k, which
+    # costs a centered difference straddling it up to h/4 * 2 = 5e-6. On
+    # the grid below, 0.3 is a grid point; the other two kinks sit inside
+    # its stencil, on either side of it.
+    # The one-sided stencils keep the exact solution's residual at the
+    # O(h^2) of smooth points, and the check still fails it offset by 1e-5.
+    c = 2.0 * math.exp(kink) - kink
 
     def exact(xs):
-        return np.where(xs <= 0.3, 1.3 - xs - 0.3 * np.exp(-xs),
-                        xs - 1.3 + c * np.exp(-xs))
+        return np.where(xs <= kink, 1.0 + kink - xs - kink * np.exp(-xs),
+                        xs - 1.0 - kink + c * np.exp(-xs))
 
-    spec = EquationSpec.linear(parse("1"), parse("abs(x-0.3)"))
+    spec = EquationSpec.linear(parse("1"), parse(f"abs(x-{kink})"))
     sol = ClosedFormSolution(EquationClass.LINEAR, exact, 0.0, {},
                              "the exact solution")
     res = residual_check(spec, sol, grid_size=201, xrange=(-1.0, 1.0))
-    assert res.passed, res.max_deviation
+    assert res.max_deviation <= 1e-9, res.max_deviation
     res = residual_check(spec, sol.perturbed(1e-5), grid_size=201,
                          xrange=(-1.0, 1.0))
     assert not res.passed
+    # A defect of -1e-5 in y' just right of the kink, seen only by the
+    # grid point on it: a centered difference there reads 4.5e-6 less,
+    # which cancels its own 5e-6 error and would pass; the one-sided one
+    # does not.
+    if kink == 0.3:
+        def defective(xs):
+            d = np.maximum(xs - kink, 0.0)
+            return exact(xs) - 1e-5 * d * np.exp(-d / 1e-4)
+
+        res = residual_check(spec, ClosedFormSolution(
+            EquationClass.LINEAR, defective, 0.0, {}, "a defect at the kink"),
+            grid_size=201, xrange=(-1.0, 1.0))
+        assert not res.passed, res.max_deviation
 
 
 def test_extreme_parameters_raise_no_numpy_warning():
