@@ -259,7 +259,8 @@ def _cells(fn, a, b, share, rel_tol, chain):
     done = []
     depth = 0
     while cid.size:
-        pts = (0.5 * pa + 0.5 * pb)[:, None] + (0.5 * (pb - pa))[:, None] * _TAU
+        half = 0.5 * (pb - pa)
+        pts = (0.5 * pa + 0.5 * pb)[:, None] + half[:, None] * _TAU
         vals = fn(pts.ravel()).reshape(pts.shape)
         finite = np.isfinite(vals)
         bad = ~finite.all(axis=1)
