@@ -128,6 +128,9 @@ def _build_parser() -> _ArgumentParser:
     return root
 
 
+# Every sample is a closed-form value and a row of output; past this a
+# grid would only exhaust memory or run for minutes.
+_MAX_SAMPLES = 10**6
 _CLASS_FLAGS = ("f", "g", "alpha", "beta", "b", "c", "yp0")
 _CLASS_NEEDS = {
     "linear": ("f", "g"),
@@ -148,8 +151,9 @@ def _make_spec(ns) -> tuple[EquationSpec, InitialCondition]:
     lo, hi = ns.xrange
     if not (lo <= ns.x0 <= hi):
         raise UsageError("--x0 must lie inside --range")
-    if ns.samples < 2:
-        raise UsageError("--samples must be at least 2")
+    if not 2 <= ns.samples <= _MAX_SAMPLES:
+        raise UsageError(
+            f"--samples must be from 2 to {_MAX_SAMPLES}, got {ns.samples}")
     for name in ("abs_tol", "rel_tol", "check_tol", "oracle_tol"):
         v = getattr(ns, name, None)
         if v is not None and not (math.isfinite(v) and 0.0 < v < 1.0):

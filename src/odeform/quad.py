@@ -398,44 +398,38 @@ def integrate(fn, a: float, b: float,
 
 
 class _Side:
-    """The cells on one side of x0, outward from it."""
+    """The cells on one side of x0, outward from it: one part list, sorted
+    outward, serves every read."""
 
     def __init__(self, sign: float):
         self.sign = sign
         self.tab = np.zeros(1)  # F at x0 + sign*k*h, k = 0 .. cells
-        self.first = np.zeros(1, np.int64)  # cell c: parts first[c] ..
-        self.key = np.empty(0)  # sign * a, ascending
-        self.a = np.empty(0)    # each part's end nearer x0
+        self.key = np.empty(0)  # sign * (each part's end nearer x0), ascending
         self.w = np.empty(0)    # its signed width
-        self.base = np.empty(0)  # F at a
+        self.base = np.empty(0)  # F at that end
         self.coef = np.empty((_DEG + 1, 0))
-        self.end = math.nan     # F fails beyond this point, once a cell fails
-        self.fail = None        # (inner, outer, node, estimate, error)
+        # Once a cell fails: F is NaN past ``end``, and the rest names the
+        # failing cell for its error.
+        self.fail = None  # (end, inner, outer, node, estimate, error)
 
     def read(self, x, m, on) -> np.ndarray:
-        """F at the points x of this side; m = floor((x - x0)/h) and ``on``
-        marks the table abscissae x0 + m*h."""
+        """F at the points x of this side. x0 + m*h <= x < x0 + (m+1)*h, and
+        ``on`` marks the abscissae x0 + m*h, which read the table; any other
+        point reads the part that holds it, up to where F fails."""
         s = self.sign
         k = (s * m).astype(np.int64)
         out = np.full(x.size, np.nan)
         hit = on & (k < self.tab.size)
         out[hit] = self.tab[k[hit]]
-        c = k - (s < 0)  # the cell of a point off the abscissae
-        inside = np.flatnonzero(~on & (c < self.first.size - 1))
-        lo, hi = self.first[c[inside]], self.first[c[inside] + 1]
-        keep = lo < hi
+        off = ~on
         if self.fail is not None:
-            keep &= s * x[inside] <= s * self.end
-        inside, lo, hi = inside[keep], lo[keep], hi[keep]
-        if inside.size:
-            xi = x[inside]
-            idx = np.searchsorted(self.key, s * xi, "right") - 1
-            idx = np.clip(idx, lo, hi - 1)
-            d = xi - self.a[idx]
-            t = (d + d) / self.w[idx] - 1.0
-            with np.errstate(over="ignore", invalid="ignore"):
-                out[inside] = self.base[idx] + d * _clenshaw(self.coef, idx,
-                                                             t)
+            off &= s * x <= s * self.fail[0]
+        xi = x[off]
+        idx = np.searchsorted(self.key, s * xi, "right") - 1
+        d = xi - s * self.key[idx]
+        t = (d + d) / self.w[idx] - 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[off] = self.base[idx] + d * _clenshaw(self.coef, idx, t)
         return out
 
 
@@ -513,11 +507,11 @@ class Antiderivative:
             cand = [] if math.isnan(node[f]) else [float(node[f])]
             if missed[f] and hi > lo:
                 cand.append(float(a[lo + np.argmax(err[lo:hi])]))
-            side.end = min(cand, key=lambda x: sgn * x)
-            keep = lo + int(np.count_nonzero(sgn * a[lo:hi] < sgn * side.end))
+            end = min(cand, key=lambda x: sgn * x)
+            keep = np.searchsorted(sgn * a, sgn * end)  # parts before end
             parts = tuple(p[..., :keep] for p in parts)
-            side.fail = (float(ends[f]), float(ends[f + 1]), float(node[f]),
-                         sgn * total[f], etotal[f])
+            side.fail = (end, float(ends[f]), float(ends[f + 1]),
+                         float(node[f]), sgn * total[f], etotal[f])
             total = total[:f]
         cid, a, w, excl, coef, _ = parts
         with np.errstate(over="ignore", invalid="ignore"):
@@ -525,11 +519,7 @@ class Antiderivative:
             base = tab[cid] + excl
         if side.fail is not None:
             tab = np.append(tab, np.nan)
-        counts = np.bincount(cid, minlength=tab.size - 1)
-        side.first = np.concatenate((side.first,
-                                     side.first[-1] + np.cumsum(counts)))
-        side.key = np.concatenate((side.key, side.sign * a))
-        side.a = np.concatenate((side.a, a))
+        side.key = np.concatenate((side.key, sgn * a))
         side.w = np.concatenate((side.w, w))
         side.base = np.concatenate((side.base, base))
         side.coef = np.concatenate((side.coef, coef), axis=1)
@@ -549,12 +539,17 @@ class Antiderivative:
         if not np.all(np.isfinite(xs)):
             raise ValueError("query points must be finite")
         with self._lock:
-            up = xs >= self._x0
-            # floor((x - x0)/h), kept on x's side of 0 where the quotient
-            # underflows
-            m = np.floor((xs - self._x0) / self._h)
-            m = np.where(up, np.maximum(m, 0.0), np.minimum(m, -1.0))
-            on = xs == self._x0 + m * self._h
+            # The cell of x, x0 + m*h <= x < x0 + (m+1)*h, against the
+            # abscissae as _grow forms them: the rounded quotient may be one
+            # off, or underflow to 0 on either side of x0. Where it
+            # overflows, the span guard below raises.
+            x0, h = self._x0, self._h
+            with np.errstate(over="ignore"):
+                m = np.floor((xs - x0) / h)
+            m -= x0 + m * h > xs
+            m += x0 + (m + 1) * h <= xs
+            up = m >= 0
+            on = xs == x0 + m * h
             # cells each side needs: up to the cell of x, or up to the
             # abscissa x itself
             need = [side.tab.size - 1 for side in self._sides]
@@ -585,10 +580,9 @@ class Antiderivative:
         side = self._sides[0 if x >= self._x0 else 1]
         with self._lock:
             fail = side.fail
-            past = fail is not None and side.sign * (x - side.end) >= 0.0
-        if not past:
+        if fail is None or side.sign * (x - fail[0]) < 0.0:
             return EvalDomainError("antiderivative is not finite", x)
-        inner, outer, node, est, err = fail
+        _, inner, outer, node, est, err = fail
         return _failure(self._src, node, est, err,
                         (min(inner, outer), max(inner, outer)), outer)
 

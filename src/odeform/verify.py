@@ -370,12 +370,13 @@ def _interior_grid(sol: ClosedFormSolution, xrange, grid_size: int,
     return np.linspace(glo, ghi, int(grid_size))
 
 
-def _kink_sides(spec: EquationSpec, xs: np.ndarray, h: float) -> np.ndarray:
-    """The first-difference stencil of each grid point: 0 for the centered
-    one, +1 or -1 for the one-sided 3-point one on [x, x + 2h] or
-    [x - 2h, x]. A point leaves the centered stencil only where the argument
-    of an abs in f or g takes both signs on it, and then for a side where
-    none does."""
+def _kink_sides(spec: EquationSpec, xs: np.ndarray,
+                h: np.ndarray) -> np.ndarray:
+    """The first-difference stencil of each grid point x, with its step h:
+    0 for the centered one, +1 or -1 for the one-sided 3-point one on
+    [x, x + 2h] or [x - 2h, x]. A point leaves the centered stencil only
+    where the argument of an abs in f or g takes both signs on it, and then
+    for a side where none does."""
     pts = (xs[None, :] + h * np.arange(-2.0, 3.0)[:, None]).ravel()
     args = [a for e in (spec.f, spec.g) if isinstance(e, Expression)
             for a in e.abs_arguments(pts)]
@@ -409,25 +410,29 @@ def residual_check(spec: EquationSpec, sol: ClosedFormSolution,
     as a sign change of an abs argument, inside the stencil: y'' jumps
     there, which leaves the centered difference only O(h) accurate, so the
     one-sided 3-point difference on the kink-free side is used instead.
+    Each grid point x steps by the representable h = (x + h) - x
+    (*Numerical Recipes* 3rd ed., section 5.7), so the differences divide
+    by the step the stencil really takes, however large |x|.
     """
     second = spec.kind == EquationClass.SECOND_ORDER
     h = _H_SECOND if second else _H_FIRST
     if tol is None:
         tol = _RESIDUAL_TOL2 if second else _CHECK_TOL
     xs = _interior_grid(sol, xrange, grid_size, h)
+    h = (xs + h) - xs
     stacked = np.concatenate([xs - h, xs, xs + h])
     vals = sol.values(stacked)
     ym, y0, yp = vals[:len(xs)], vals[len(xs):2 * len(xs)], vals[2 * len(xs):]
     if not second:
         side = _kink_sides(spec, xs, h)
         k = np.flatnonzero(side)
-        far = sol.values(xs[k] + 2.0 * h * side[k])
+        far = sol.values(xs[k] + 2.0 * h[k] * side[k])
 
     with np.errstate(over="ignore", invalid="ignore"):
         d1 = (yp - ym) / (2.0 * h)
         if not second and k.size:
             near = np.where(side[k] > 0.0, yp[k], ym[k])
-            d1[k] = side[k] * (4.0 * near - 3.0 * y0[k] - far) / (2.0 * h)
+            d1[k] = side[k] * (4.0 * near - 3.0 * y0[k] - far) / (2.0 * h[k])
         if second:
             d2 = (yp - 2.0 * y0 + ym) / (h * h)
             terms = (d2, spec.b * d1, spec.c * y0)
@@ -473,7 +478,9 @@ def riccati_check(b: float, c: float, sol: ClosedFormSolution,
     conditioning cap (tol / (6 (h^2 + H^2)))^(1/4) -- beyond it the
     finite-difference truncation error alone would swamp the tolerance, as
     happens arbitrarily close to any zero of y. If more than 90% of the
-    grid is excluded the check is inconclusive and raises.
+    grid is excluded the check is inconclusive and raises. Both steps are
+    the representable ones at each grid point x, (x + h) - x and
+    (x + H) - x, as in residual_check.
     """
     if sol.kind != EquationClass.SECOND_ORDER:
         raise ParameterError("the invariant applies to second-order solutions")
@@ -483,6 +490,7 @@ def riccati_check(b: float, c: float, sol: ClosedFormSolution,
         xrange = (sol.x0, sol.x0 + 2.0)
     xs = _interior_grid(sol, xrange, grid_size, h + H)
     n = len(xs)
+    h, H = (xs + h) - xs, (xs + H) - xs
     offsets = (-H - h, -H + h, -h, h, H - h, H + h)
     stacked = np.concatenate([xs + o for o in offsets])
     vals = sol.values(stacked).reshape(len(offsets), n)

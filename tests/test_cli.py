@@ -375,9 +375,20 @@ _LINEAR = ["--class", "linear", "--f", "1", "--g", "0", "--x0", "0",
       "--y0", "1", "--range", "1e300:1.0000000001e300"], 0),
     (["verify"] + _LINEAR + ["--perturb", "inf"], 1),
     (["verify"] + _LINEAR + ["--perturb", "nan"], 1),
+    # x +- h rounded at |x| = 1e6 and the differences divided by the
+    # nominal step: exact solutions failed the residual and Riccati checks.
+    (["verify", "--class", "linear", "--f", "1", "--g", "0", "--x0", "1e6",
+      "--y0", "1", "--range", "999999:1000001"], 0),
+    (["verify", "--class", "second-order", "--b", "3", "--c", "2", "--x0",
+      "1e6", "--y0", "1", "--yp0", "0", "--range", "999999:1000001"], 0),
+    # numpy's MemoryError escaped run() for a grid too large to allocate.
+    (["solve"] + _LINEAR + ["--samples", "1000001"], 1),
+    (["verify"] + _LINEAR + ["--samples", "10000000000000"], 1),
+    (["oracle"] + _LINEAR + ["--samples", "10000000000000"], 1),
 ], ids=["oracle-tol-oracle", "oracle-tol-verify", "deep-nesting",
         "long-sum", "huge-range", "table-nan-test", "huge-x0",
-        "perturb-inf", "perturb-nan"])
+        "perturb-inf", "perturb-nan", "residual-at-1e6", "riccati-at-1e6",
+        "samples-over-bound", "samples-1e13-verify", "samples-1e13-oracle"])
 def test_hostile_invocations_end_cleanly(argv, expected):
     if expected:
         assert_clean_error(argv, expected)

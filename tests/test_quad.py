@@ -280,6 +280,12 @@ def test_checkpoints_strictly_increasing():
     # Checkpoint values agree with the analytic antiderivative.
     for x, v in pts:
         assert abs(v - (math.cos(0.5) - math.cos(x))) <= 1e-9
+    # Every abscissa reads its table value, bit for bit, also where the
+    # rounded (x - x0)/h falls one below its index (x = 0.2953125 here).
+    F = antiderivative(parse("cos(x)"), 0.1)
+    F.values(np.array([-2.0, 2.0]))
+    xs, table = np.array(F.checkpoints()).T
+    assert np.array_equal(F.values(xs), table)
 
 
 def test_checkpoints_are_running_sums_of_single_cells():
@@ -352,6 +358,21 @@ def test_antiderivative_is_pure_function_of_x():
         F_scrambled.value(float(xs[i]))
     b = F_scrambled.values(xs)
     assert np.array_equal(a, b)
+    # Far from 0 with a spacing that is no power of 2, cell ends are rounded:
+    # the table abscissae and both their neighbours, one at a time in random
+    # order, read what one batch reads.
+    cfg = QuadratureConfig(checkpoint_spacing=3.3 / 256)
+    x0 = 1e6
+    ends = x0 + np.arange(-200, 201) * cfg.checkpoint_spacing
+    xs = np.concatenate((ends, np.nextafter(ends, -np.inf),
+                         np.nextafter(ends, np.inf)))
+    batch = antiderivative(parse("1/(1 + (x - 1e6)^2)"), x0, cfg).values(xs)
+    single = antiderivative(parse("1/(1 + (x - 1e6)^2)"), x0, cfg)
+    order = np.random.default_rng(7).permutation(xs.size)
+    one_by_one = np.empty(xs.size)
+    for i in order:
+        one_by_one[i] = single.value(float(xs[i]))
+    assert np.array_equal(batch, one_by_one)
 
 
 def test_table_is_independent_of_growth_order():
@@ -409,6 +430,9 @@ def test_query_span_guard():
     F = antiderivative(parse("0"), 0.0, cfg)
     with pytest.raises(ParameterError):
         F.value(1e17)
+    # x - x0 overflows: the guard raises, and numpy warns of nothing.
+    with pytest.raises(ParameterError):
+        antiderivative(parse("1"), -1e308).value(1e308)
 
 
 # ---------------------------------------------------------------------------
