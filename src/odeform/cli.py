@@ -25,6 +25,7 @@ For ranges starting with a negative number use the equals form,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -102,6 +103,8 @@ def _add_equation_args(p: _ArgumentParser):
                    help="quadrature relative tolerance")
 
 
+# parse_args leaves the parser as it was, so one serves every call.
+@functools.cache
 def _build_parser() -> _ArgumentParser:
     root = _ArgumentParser(
         prog="odeform",

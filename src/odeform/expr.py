@@ -24,9 +24,19 @@ Evaluation is reentrant, safe to call from multiple threads, and total:
 every point either yields a finite float or raises EvalDomainError /
 EvalOverflowError naming the offending x. NaN and infinity never propagate
 to callers, except through the opt-in ``eval_many(xs, masked=True)``,
-which marks each failing point NaN. Powers with a negative base are real
-only for integer exponents; exponents within a relative 2^-52 of an
-integer are accepted as integers.
+which marks each failing point NaN.
+
+``tape_eval`` interprets the tape over an array of points, applying each
+opcode to whole arrays, and gives every point a status; a failed point's
+value is NaN. The test suite holds a scalar reference interpreter with the
+same semantics and checks the kernel against it.
+
+Powers follow one rule, written once per shape: ``pow_vector`` for arrays
+(the kernel, the residual check) and ``pow_scalar`` for single floats
+(``signed_power``, the constructors, the oracle). Positive bases behave as
+usual, 0**positive is 0 and 0**0 is 1, and a negative base is accepted
+only for an exponent within a relative 2^-52 of an integer, with the sign
+following that integer's parity.
 """
 
 from __future__ import annotations
@@ -36,15 +46,159 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._backend import (ERR_DIV_ZERO, ERR_LOG_DOMAIN, ERR_OVERFLOW,
-                       ERR_POW_DOMAIN, ERR_SQRT_DOMAIN, OP_ABS, OP_ADD,
-                       OP_ATAN, OP_CONST, OP_COS, OP_DIV, OP_EXP, OP_LOG,
-                       OP_MUL, OP_NEG, OP_POW, OP_SIN, OP_SQRT, OP_SUB,
-                       OP_TAN, OP_X, tape_eval)
 from .errors import (EvalDomainError, EvalError, EvalOverflowError,
                      ExprSyntaxError)
 
 __all__ = ["Expression", "parse"]
+
+# Tape opcodes. OP_CONST and OP_X push, OP_NEG and the functions rewrite the
+# top of the stack, the arithmetic ops pop two and push one.
+OP_CONST = 0
+OP_X = 1
+OP_NEG = 2
+OP_ADD = 3
+OP_SUB = 4
+OP_MUL = 5
+OP_DIV = 6
+OP_POW = 7
+OP_SIN = 8
+OP_COS = 9
+OP_TAN = 10
+OP_EXP = 11
+OP_LOG = 12
+OP_SQRT = 13
+OP_ABS = 14
+OP_ATAN = 15
+
+# Per-point evaluation status.
+OK = 0
+ERR_DIV_ZERO = 1
+ERR_LOG_DOMAIN = 2
+ERR_SQRT_DOMAIN = 3
+ERR_POW_DOMAIN = 4
+ERR_OVERFLOW = 5
+
+EXP_MAX = 709.782712893384  # log of the largest finite double
+INT_REL_TOL = 2.0 ** -52    # exponents this close to an integer count as one
+
+
+def is_integer_valued(v: float) -> bool:
+    """Whether ``v`` counts as an integer exponent."""
+    return abs(v - round(v)) <= INT_REL_TOL * max(1.0, abs(v))
+
+
+def pow_scalar(a, b):
+    """a**b by the power rule, or None where it has no real value."""
+    if a > 0.0:
+        return a ** b
+    if a == 0.0:
+        if b > 0.0:
+            return 0.0
+        if b == 0.0:
+            return 1.0
+        return None
+    if not is_integer_valued(b):
+        return None
+    r = (-a) ** b
+    return -r if round(b) % 2 == 1 else r
+
+
+def pow_vector(a: np.ndarray, b):
+    """Elementwise a**b by the power rule; returns (values, bad), where
+    ``bad`` marks the points with no real value (their values are junk)."""
+    neg = a < 0.0
+    nb = np.rint(b)
+    isint = np.abs(b - nb) <= INT_REL_TOL * np.maximum(np.abs(b), 1.0)
+    bad = (neg & ~isint) | ((a == 0.0) & (b < 0.0))
+    r = np.abs(a) ** b
+    odd = np.fmod(np.abs(nb), 2.0) == 1.0
+    return np.where(neg & odd, -r, r), bad
+
+
+def _points(xs) -> np.ndarray:
+    """``xs`` as a contiguous float64 array, checked to be 1-D and finite;
+    the one guard of every public query taking an array of points."""
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    if xs.ndim != 1:
+        raise ValueError("expected a 1-D array of points")
+    if not np.isfinite(xs).all():
+        raise ValueError("points must be finite")
+    return xs
+
+
+def tape_eval(code, cval, need, xs, abs_args=None):
+    """Run the compiled tape over ``xs``; returns (values, statuses).
+
+    A list passed as ``abs_args`` receives the argument of each abs, in
+    tape order.
+    """
+    # Status is sticky: once a lane errors, later ops may compute garbage
+    # there but never change its status, and the output lane is forced to
+    # NaN at the end, as if the lane had stopped at its first error.
+    n = xs.shape[0]
+    status = np.zeros(n, np.int8)
+    stack = np.empty((need, n))
+    sp = 0
+    with np.errstate(all="ignore"):
+        for k in range(code.shape[0]):
+            op = int(code[k])
+            if op == OP_CONST:
+                stack[sp, :] = cval[k]
+                sp += 1
+                continue
+            if op == OP_X:
+                stack[sp, :] = xs
+                sp += 1
+                continue
+            if op == OP_NEG:
+                np.negative(stack[sp - 1], out=stack[sp - 1])
+                continue
+            ok = status == OK
+            if op <= OP_POW:
+                b = stack[sp - 1]
+                a = stack[sp - 2]
+                sp -= 1
+                if op == OP_ADD:
+                    r = a + b
+                elif op == OP_SUB:
+                    r = a - b
+                elif op == OP_MUL:
+                    r = a * b
+                elif op == OP_DIV:
+                    status[(b == 0.0) & ok] = ERR_DIV_ZERO
+                    r = a / b
+                else:
+                    r, bad = pow_vector(a, b)
+                    status[bad & ok] = ERR_POW_DOMAIN
+                stack[sp - 1] = r
+            else:
+                a = stack[sp - 1]
+                if op == OP_SIN:
+                    r = np.sin(a)
+                elif op == OP_COS:
+                    r = np.cos(a)
+                elif op == OP_TAN:
+                    r = np.tan(a)
+                elif op == OP_EXP:
+                    r = np.exp(a)
+                elif op == OP_LOG:
+                    status[(a <= 0.0) & ok] = ERR_LOG_DOMAIN
+                    r = np.log(a)
+                elif op == OP_SQRT:
+                    status[(a < 0.0) & ok] = ERR_SQRT_DOMAIN
+                    r = np.sqrt(a)
+                elif op == OP_ABS:
+                    if abs_args is not None:
+                        abs_args.append(a.copy())
+                    r = np.abs(a)
+                else:
+                    r = np.arctan(a)
+                stack[sp - 1] = r
+            status[~np.isfinite(stack[sp - 1]) & (status == OK)] = ERR_OVERFLOW
+    out = stack[0].copy()
+    out[status != OK] = np.nan
+    return out, status
+
 
 _FUNCTIONS = {
     "sin": OP_SIN,
@@ -269,11 +423,7 @@ class Expression:
         point; on success every returned value is finite. With ``masked``
         nothing is raised and failing points read NaN instead.
         """
-        xs = np.ascontiguousarray(xs, dtype=np.float64)
-        if xs.ndim != 1:
-            raise ValueError("expected a 1-D array of points")
-        if xs.size and not np.all(np.isfinite(xs)):
-            raise ValueError("evaluation points must be finite")
+        xs = _points(xs)
         out, status = tape_eval(self._code, self._cval, self._need, xs)
         if masked or not status.any():
             return out

@@ -55,8 +55,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, EvalDomainError, EvalError,
                      EvalOverflowError, ParameterError)
-from .expr import Expression
-from ._backend import EXP_MAX
+from .expr import EXP_MAX, Expression, _points
 
 __all__ = [
     "QuadratureConfig",
@@ -69,7 +68,6 @@ __all__ = [
 ]
 
 _EPS = np.finfo(np.float64).eps
-_DEFAULT_SPACING = 1.0 / 128.0
 _MAX_SEGMENTS = 1 << 21  # guard against runaway checkpoint tables
 _PANEL_BUDGET = 10_000   # per-cell cap on the parts it holds at a depth
 _MAX_DEPTH = 50          # bisections before a cell stops splitting
@@ -79,26 +77,24 @@ _MAX_DEPTH = 50          # bisections before a cell stops splitting
 class QuadratureConfig:
     """Tolerances and checkpoint spacing shared by the integration routines.
 
-    checkpoint_spacing of None means the default spacing (1/128, i.e. the
-    working-range heuristic span/256 for a span of 2); the CLI passes
-    (hi - lo)/256 explicitly. The depth cap is the module constant
-    _MAX_DEPTH, not a setting.
+    checkpoint_spacing defaults to 1/128, the working-range heuristic
+    span/256 for a span of 2; the CLI passes (hi - lo)/256. The depth cap
+    is the module constant _MAX_DEPTH, not a setting.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    checkpoint_spacing: float | None = None
+    checkpoint_spacing: float = 1.0 / 128.0
 
     def __post_init__(self):
         if not (np.isfinite(self.abs_tol) and self.abs_tol > 0):
             raise ParameterError("abs_tol must be a positive finite number")
         if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ParameterError("rel_tol must be a positive finite number")
-        if self.checkpoint_spacing is not None:
-            if not (np.isfinite(self.checkpoint_spacing)
-                    and self.checkpoint_spacing > 0):
-                raise ParameterError(
-                    "checkpoint_spacing must be positive when given")
+        if not (np.isfinite(self.checkpoint_spacing)
+                and self.checkpoint_spacing > 0):
+            raise ParameterError(
+                "checkpoint_spacing must be a positive finite number")
 
 
 _DEFAULT_CFG = QuadratureConfig()
@@ -441,7 +437,10 @@ class Antiderivative:
     x0 + k*spacing. A query at a table abscissa reads the table; any other
     adds the Clenshaw sum of the cell (or the part of a split cell) that
     holds it to F at that part's end nearer x0. A cell's tolerance share is
-    abs_tol/256 so chains of cells do not erode the overall budget.
+    abs_tol/256, which keeps a chain of up to 256 cells within abs_tol, as
+    at the CLI's spacing span/256. At the default spacing 1/128, a query
+    further than 2 from x0 sums more cells, whose errors can add up beyond
+    abs_tol.
 
     The first cell, going out from x0, that fails for good ends the table
     on its side: F is NaN from where that cell fails outward, and
@@ -456,7 +455,7 @@ class Antiderivative:
         self._src = fn
         self._masked = as_array_fn(fn, masked=True)
         self._cfg = cfg or _DEFAULT_CFG
-        self._h = self._cfg.checkpoint_spacing or _DEFAULT_SPACING
+        self._h = self._cfg.checkpoint_spacing
         if not np.isfinite(x0):
             raise ParameterError("anchor x0 must be finite")
         self._x0 = float(x0)
@@ -531,13 +530,9 @@ class Antiderivative:
         Raises the typed error of the first point where F fails; with
         ``masked`` such points read NaN instead.
         """
-        xs = np.ascontiguousarray(xs, dtype=np.float64)
-        if xs.ndim != 1:
-            raise ValueError("expected a 1-D array of points")
+        xs = _points(xs)
         if xs.size == 0:
             return np.empty(0)
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("query points must be finite")
         with self._lock:
             # The cell of x, x0 + m*h <= x < x0 + (m+1)*h, against the
             # abscissae as _grow forms them: the rounded quotient may be one

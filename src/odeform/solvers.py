@@ -27,15 +27,16 @@ Constructors perform no integration themselves and are cheap.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 import threading
 
 import numpy as np
 
-from ._backend import EXP_MAX, is_integer_valued, pow_scalar
 from .errors import (EvalDomainError, EvalOverflowError, NoOverlapError,
                      OutsideValidityError, ParameterError)
+from .expr import EXP_MAX, _points, is_integer_valued, pow_scalar
 from .quad import Antiderivative, QuadratureConfig, as_array_fn, \
     weighted_cumulative
 
@@ -164,6 +165,19 @@ def signed_power(base: float, expo: float, x: float = math.nan) -> float:
     if not math.isfinite(r):
         raise EvalOverflowError("power outside double range", x)
     return r
+
+
+def _point_count(n) -> int:
+    """A count of sample or grid points as an int: an integer, numpy's
+    included, of at least 2."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ParameterError(
+            f"the point count must be an integer, got {n!r}") from None
+    if n < 2:
+        raise ParameterError(f"need at least 2 points, got {n}")
+    return n
 
 
 def _overflow(message: str):
@@ -322,13 +336,9 @@ class ClosedFormSolution:
 
     def values(self, xs) -> np.ndarray:
         """Evaluate at a 1-D array of points inside the validity interval."""
-        xs = np.ascontiguousarray(xs, dtype=np.float64)
-        if xs.ndim != 1:
-            raise ValueError("expected a 1-D array of points")
+        xs = _points(xs)
         if xs.size == 0:
             return np.empty(0)
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("query points must be finite")
         self.ensure_validity(float(xs.min()), float(xs.max()))
         outside = (xs < self._lo) | (xs > self._hi)
         if outside.any():
@@ -350,8 +360,7 @@ class ClosedFormSolution:
     def sample(self, lo: float, hi: float,
                n: int) -> tuple[np.ndarray, np.ndarray]:
         """Uniform samples over [lo, hi] clipped to the validity interval."""
-        if not (isinstance(n, int) and n >= 2):
-            raise ParameterError("need at least 2 sample points")
+        n = _point_count(n)
         if not (lo < hi):
             raise ParameterError("need lo < hi")
         self.ensure_validity(lo, hi)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import mul
 
@@ -37,12 +38,11 @@ import numpy as np
 
 from .errors import (EvalDomainError, InconclusiveError, NoOverlapError,
                      OdeformError, ParameterError, StageError)
-from .expr import Expression
+from .expr import EXP_MAX, Expression, pow_vector
 from .quad import QuadratureConfig, as_array_fn
 from .solvers import (ClosedFormSolution, EquationClass, EquationSpec,
-                      InitialCondition, construct, signed_power,
-                      solve_bernoulli_via_linear)
-from ._backend import EXP_MAX, pow_vector
+                      InitialCondition, _point_count, construct,
+                      signed_power, solve_bernoulli_via_linear)
 
 __all__ = [
     "CheckResult",
@@ -295,6 +295,7 @@ def rk_reference(spec: EquationSpec, ic: InitialCondition,
         raise ParameterError("x0 must lie inside the range")
     if not (0 < tol < 1):
         raise ParameterError("tol must be in (0, 1)")
+    n = _point_count(grid_size)
     second = spec.kind == EquationClass.SECOND_ORDER
     if second and ic.yp0 is None:
         raise ParameterError("second-order initial data needs yp0")
@@ -304,7 +305,7 @@ def rk_reference(spec: EquationSpec, ic: InitialCondition,
     # A failure at the anchor is a caller error: surface it.
     k0 = rhs(coefs(np.array([x0]))[0], y0)
 
-    grid = np.linspace(lo, hi, int(grid_size))
+    grid = np.linspace(lo, hi, n)
     at = grid[grid == x0]
     chunks = [(at, [np.full(len(at), v) for v in y0])]
     counters = {"taken": 0, "rejected": 0}
@@ -350,6 +351,7 @@ def compare(sol: ClosedFormSolution, oracle: OracleSolution,
 
 def _interior_grid(sol: ClosedFormSolution, xrange, grid_size: int,
                    reach: float) -> np.ndarray:
+    n = _point_count(grid_size)
     if xrange is None:
         v = sol.validity
         if not (math.isfinite(v.lo) and math.isfinite(v.hi)):
@@ -367,7 +369,7 @@ def _interior_grid(sol: ClosedFormSolution, xrange, grid_size: int,
     if not (glo < ghi):
         raise NoOverlapError(
             "validity interval too small for a finite-difference grid")
-    return np.linspace(glo, ghi, int(grid_size))
+    return np.linspace(glo, ghi, n)
 
 
 def _kink_sides(spec: EquationSpec, xs: np.ndarray,
@@ -419,10 +421,10 @@ def residual_check(spec: EquationSpec, sol: ClosedFormSolution,
     if tol is None:
         tol = _RESIDUAL_TOL2 if second else _CHECK_TOL
     xs = _interior_grid(sol, xrange, grid_size, h)
+    n = len(xs)
     h = (xs + h) - xs
-    stacked = np.concatenate([xs - h, xs, xs + h])
-    vals = sol.values(stacked)
-    ym, y0, yp = vals[:len(xs)], vals[len(xs):2 * len(xs)], vals[2 * len(xs):]
+    vals = sol.values(np.concatenate([xs - h, xs, xs + h]))
+    ym, y0, yp = vals[:n], vals[n:2 * n], vals[2 * n:]
     if not second:
         side = _kink_sides(spec, xs, h)
         k = np.flatnonzero(side)
@@ -430,37 +432,33 @@ def residual_check(spec: EquationSpec, sol: ClosedFormSolution,
 
     with np.errstate(over="ignore", invalid="ignore"):
         d1 = (yp - ym) / (2.0 * h)
-        if not second and k.size:
-            near = np.where(side[k] > 0.0, yp[k], ym[k])
-            d1[k] = side[k] * (4.0 * near - 3.0 * y0[k] - far) / (2.0 * h[k])
         if second:
             d2 = (yp - 2.0 * y0 + ym) / (h * h)
             terms = (d2, spec.b * d1, spec.c * y0)
             residual = d2 + spec.b * d1 + spec.c * y0
-        elif spec.kind == EquationClass.LINEAR:
-            fv = as_array_fn(spec.f)(xs)
-            gv = as_array_fn(spec.g)(xs)
-            terms = (d1, fv * y0, gv)
-            residual = d1 + fv * y0 - gv
-        elif spec.kind == EquationClass.BERNOULLI:
-            fv = as_array_fn(spec.f)(xs)
-            gv = as_array_fn(spec.g)(xs)
-            ya, bad = pow_vector(y0, float(spec.alpha))
-            if bad.any():
-                raise EvalDomainError(
-                    "y^alpha has no real value in the residual",
-                    float(xs[int(np.argmax(bad))]))
-            terms = (d1, fv * y0, gv * ya)
-            residual = d1 + fv * y0 - gv * ya
         else:
+            if k.size:
+                near = np.where(side[k] > 0.0, yp[k], ym[k])
+                d1[k] = (side[k] * (4.0 * near - 3.0 * y0[k] - far)
+                         / (2.0 * h[k]))
+            # y' + f u - g w = 0: u is y, or e^(beta y) for the exp class;
+            # w is 1, or y^alpha for bernoulli.
             fv = as_array_fn(spec.f)(xs)
             gv = as_array_fn(spec.g)(xs)
-            z = float(spec.beta) * y0
-            if (z > EXP_MAX).any():
-                raise OdeformError("exp(beta*y) overflow in the residual")
-            ey = np.exp(z)
-            terms = (d1, fv * ey, gv)
-            residual = d1 + fv * ey - gv
+            u, w = y0, 1.0
+            if spec.kind == EquationClass.BERNOULLI:
+                w, bad = pow_vector(y0, float(spec.alpha))
+                if bad.any():
+                    raise EvalDomainError(
+                        "y^alpha has no real value in the residual",
+                        float(xs[int(np.argmax(bad))]))
+            elif spec.kind == EquationClass.EXP:
+                z = float(spec.beta) * y0
+                if (z > EXP_MAX).any():
+                    raise OdeformError("exp(beta*y) overflow in the residual")
+                u = np.exp(z)
+            terms = (d1, fv * u, gv * w)
+            residual = d1 + fv * u - gv * w
 
     scale = max(float(np.max(np.abs(t))) for t in terms)
     dev = float(np.max(np.abs(residual))) / (1.0 + scale)
@@ -491,10 +489,11 @@ def riccati_check(b: float, c: float, sol: ClosedFormSolution,
     xs = _interior_grid(sol, xrange, grid_size, h + H)
     n = len(xs)
     h, H = (xs + h) - xs, (xs + H) - xs
-    offsets = (-H - h, -H + h, -h, h, H - h, H + h)
-    stacked = np.concatenate([xs + o for o in offsets])
-    vals = sol.values(stacked).reshape(len(offsets), n)
-    y0 = sol.values(xs)
+    # the last row is y itself
+    offsets = (-H - h, -H + h, -h, h, H - h, H + h, 0.0)
+    vals = sol.values(np.concatenate([xs + o for o in offsets])).reshape(
+        len(offsets), n)
+    y0 = vals[6]
     ymax = float(np.max(np.abs(y0)))
     if ymax == 0.0:
         raise InconclusiveError("the solution vanishes on the whole grid")
@@ -520,6 +519,15 @@ def riccati_check(b: float, c: float, sol: ClosedFormSolution,
                        f"{n - kept} points excluded near zeros of y")
 
 
+@contextmanager
+def _stage(name: str):
+    """Raise an OdeformError from the block as StageError(name, e)."""
+    try:
+        yield
+    except OdeformError as e:
+        raise StageError(name, e)
+
+
 def full_verify(spec: EquationSpec, ic: InitialCondition,
                 xrange: tuple[float, float],
                 cfg: QuadratureConfig | None = None, *,
@@ -541,57 +549,53 @@ def full_verify(spec: EquationSpec, ic: InitialCondition,
         raise ParameterError("x0 must lie inside the range")
     if not math.isfinite(perturb):
         raise ParameterError("perturb must be finite")
+    grid_size = _point_count(grid_size)
+    second = spec.kind == EquationClass.SECOND_ORDER
 
-    try:
+    with _stage("constructor"):
         sol = construct(spec, ic, cfg)
-    except OdeformError as e:
-        raise StageError("constructor", e)
 
-    try:
+    with _stage("validity probe"):
         sol.ensure_validity(lo, hi)
-    except OdeformError as e:
-        raise StageError("validity probe", e)
-    v = sol.validity
-    span = hi - lo
-    # Keep 1% of the span away from a validity boundary: solutions are
-    # typically singular there and finite differences lose accuracy faster
-    # than the term scale grows.
-    clo = lo if v.lo <= lo else max(lo, v.lo + 1e-2 * span)
-    chi = hi if v.hi >= hi else min(hi, v.hi - 1e-2 * span)
+        # The checks' stencils step past the range by up to ``reach``; a
+        # boundary there must be found now, not after clipping.
+        reach = (max(_H_SECOND, _H_FIRST + _H_RICCATI_OUTER) if second
+                 else 2.0 * _H_FIRST)
+        sol.ensure_validity(lo - reach, hi + reach)
+        v = sol.validity
+        span = hi - lo
+        # Keep 1% of the span away from a validity boundary: solutions are
+        # typically singular there and finite differences lose accuracy
+        # faster than the term scale grows.
+        clo = lo if v.lo <= lo else max(lo, v.lo + 1e-2 * span)
+        chi = hi if v.hi >= hi else min(hi, v.hi - 1e-2 * span)
+        if not (clo < chi) or not (clo <= ic.x0 <= chi):
+            raise NoOverlapError(
+                "the validity interval covers too little of the range")
     note = ""
     if clo > lo or chi < hi:
         note = (f"range clipped to [{clo!r}, {chi!r}] inside validity "
                 f"({v.lo!r}, {v.hi!r})")
-    if not (clo < chi) or not (clo <= ic.x0 <= chi):
-        raise StageError("validity probe", NoOverlapError(
-            "the validity interval covers too little of the range"))
 
     checked = sol.perturbed(perturb) if perturb else sol
-    second = spec.kind == EquationClass.SECOND_ORDER
     checks = []
 
-    try:
+    with _stage("residual check"):
         rtol = (10.0 * check_tol) if second else check_tol
         checks.append(residual_check(spec, checked, grid_size, (clo, chi),
                                      tol=rtol))
-    except OdeformError as e:
-        raise StageError("residual check", e)
 
-    try:
+    with _stage("oracle comparison"):
         oracle = rk_reference(spec, ic, (clo, chi), oracle_tol, grid_size)
         if oracle.truncated:
             raise InconclusiveError(
                 f"oracle truncated at x={oracle.truncated_at!r}")
         checks.append(compare(checked, oracle, check_tol))
-    except OdeformError as e:
-        raise StageError("oracle comparison", e)
 
     if second:
-        try:
+        with _stage("riccati check"):
             checks.append(riccati_check(float(spec.b), float(spec.c),
                                         checked, grid_size, (clo, chi)))
-        except OdeformError as e:
-            raise StageError("riccati check", e)
 
     if spec.kind == EquationClass.BERNOULLI:
         if ic.y0 == 0.0:
@@ -599,7 +603,7 @@ def full_verify(spec: EquationSpec, ic: InitialCondition,
                 "route_equivalence", 0.0, _ROUTE_TOL, True, 0,
                 "skipped: the zero solution has no linear-substitution route"))
         else:
-            try:
+            with _stage("route equivalence"):
                 via = solve_bernoulli_via_linear(
                     spec.f, spec.g, float(spec.alpha), ic, cfg)
                 via.ensure_validity(clo, chi)
@@ -616,8 +620,6 @@ def full_verify(spec: EquationSpec, ic: InitialCondition,
                 checks.append(CheckResult(
                     "route_equivalence", dev, _ROUTE_TOL, dev <= _ROUTE_TOL,
                     len(xs)))
-            except OdeformError as e:
-                raise StageError("route equivalence", e)
 
     return VerificationReport(
         checks=checks, passed=all(c.passed for c in checks),

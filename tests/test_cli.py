@@ -101,6 +101,24 @@ def test_documented_invocations_are_byte_deterministic(argv):
     assert first[1].encode("utf-8") == second[1].encode("utf-8")
 
 
+def test_one_process_serves_a_mix_of_commands(capsys):
+    """Runs of every kind share one process, and so one argument parser:
+    each must read as the first run of the same argv did."""
+    mix = [INV_SOLVE_LINEAR, ["--help"], INV_VERIFY_BERNOULLI,
+           INV_SOLVE_SECOND + ["--format", "json"], ["verify", "--help"],
+           ["solve", "--class", "cubic", "--x0", "0", "--y0", "1",
+            "--range", "0:1"],
+           INV_SOLVE_LINEAR + ["--samples", "1"], ["bogus"],
+           ["oracle"] + INV_SOLVE_LINEAR[1:]]
+    first = {}
+    for argv in mix + mix[::-1] + mix:
+        result = invoke(argv) + tuple(capsys.readouterr())
+        assert first.setdefault(tuple(argv), result) == result
+    codes = [first[tuple(argv)][0] for argv in mix]
+    assert codes == [0, 0, 0, 0, 0, 1, 1, 1, 0]
+    assert first[("--help",)][3].startswith("usage: odeform")
+
+
 # ---------------------------------------------------------------------------
 # Formats
 
@@ -385,10 +403,17 @@ _LINEAR = ["--class", "linear", "--f", "1", "--g", "0", "--x0", "0",
     (["solve"] + _LINEAR + ["--samples", "1000001"], 1),
     (["verify"] + _LINEAR + ["--samples", "10000000000000"], 1),
     (["oracle"] + _LINEAR + ["--samples", "10000000000000"], 1),
+    # A validity boundary exactly at the range end: the residual stencil
+    # stepped past it after the range had been clipped.
+    (["verify", "--class", "linear", "--f", "sqrt(x)", "--g", "0", "--x0",
+      "1", "--y0", "1", "--range", "0:1"], 0),
+    (["verify", "--class", "linear", "--f", "1", "--g", "sqrt(x)", "--x0",
+      "1", "--y0", "1", "--range", "0:1"], 0),
 ], ids=["oracle-tol-oracle", "oracle-tol-verify", "deep-nesting",
         "long-sum", "huge-range", "table-nan-test", "huge-x0",
         "perturb-inf", "perturb-nan", "residual-at-1e6", "riccati-at-1e6",
-        "samples-over-bound", "samples-1e13-verify", "samples-1e13-oracle"])
+        "samples-over-bound", "samples-1e13-verify", "samples-1e13-oracle",
+        "boundary-at-range-end-f", "boundary-at-range-end-g"])
 def test_hostile_invocations_end_cleanly(argv, expected):
     if expected:
         assert_clean_error(argv, expected)

@@ -14,8 +14,8 @@ from odeform import (
     ExprSyntaxError,
     parse,
 )
-from odeform import _backend as bk
-from odeform._backend import pow_scalar, pow_vector, tape_eval
+from odeform import expr as bk
+from odeform.expr import pow_scalar, pow_vector, tape_eval
 
 from conftest import assert_ulps
 

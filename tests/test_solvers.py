@@ -564,6 +564,14 @@ def test_perturbed_twin_offsets_values():
     assert np.max(np.abs(twin.values(xs) - sol.values(xs) - 1e-3)) <= 1e-15
 
 
+def test_sample_count_is_any_integer_of_at_least_2():
+    sol = solve_linear_ivp(parse("1"), parse("0"), ic(0.0, 1.0))
+    xs, ys = sol.sample(0.0, 1.0, np.int64(5))
+    assert xs.size == ys.size == 5
+    with pytest.raises(ParameterError, match="must be an integer"):
+        sol.sample(0.0, 1.0, 2.5)
+
+
 def test_values_rejects_bad_input():
     sol = solve_linear_ivp(parse("1"), parse("0"), ic(0.0, 1.0))
     with pytest.raises(ValueError):

@@ -501,6 +501,32 @@ def test_full_verify_validates_range():
             full_verify(LINEAR_DECAY, ic(0.0, 1.0), (0.0, 1.0), perturb=bad)
 
 
+@pytest.mark.parametrize("grid_size", [0, 1, -5, 2.5, True, "3"])
+def test_grid_size_must_be_an_integer_of_at_least_2(grid_size):
+    c = ic(0.0, 1.0, 0.0)
+    sol = solve_second_order_ivp(0.0, 1.0, c)
+    calls = (
+        lambda: full_verify(OSCILLATOR, c, (0.0, 1.0), grid_size=grid_size),
+        lambda: rk_reference(OSCILLATOR, c, (0.0, 1.0),
+                             grid_size=grid_size),
+        lambda: residual_check(OSCILLATOR, sol, grid_size, (0.0, 1.0)),
+        lambda: riccati_check(0.0, 1.0, sol, grid_size, (0.0, 1.0)),
+    )
+    for call in calls:
+        with pytest.raises(ParameterError):
+            call()
+
+
+def test_grid_size_takes_numpy_integers():
+    c = ic(0.0, 1.0, 0.0)
+    sol = solve_second_order_ivp(0.0, 1.0, c)
+    n = np.int64(7)
+    assert residual_check(OSCILLATOR, sol, n, (0.0, 1.0)).grid_size == 7
+    assert rk_reference(OSCILLATOR, c, (0.0, 1.0), grid_size=n).grid.size == 7
+    report = full_verify(OSCILLATOR, c, (0.0, 1.0), grid_size=n)
+    assert [check.grid_size for check in report.checks][:2] == [7, 7]
+
+
 def test_full_verify_deterministic():
     spec = EquationSpec.second_order(2.0, 1.0)
     a = full_verify(spec, ic(0.0, 1.0, 0.0), (0.0, 2.0))
