@@ -110,24 +110,21 @@ def _build_parser() -> _ArgumentParser:
         prog="odeform",
         description="closed-form ODE solutions with numerical verification")
     sub = root.add_subparsers(dest="command", required=True)
-
-    solve = sub.add_parser("solve", help="emit closed-form samples")
-    _add_equation_args(solve)
-
-    verify = sub.add_parser("verify", help="emit a verification report")
-    _add_equation_args(verify)
+    solve, verify, oracle = (
+        sub.add_parser(name, help=text) for name, text in (
+            ("solve", "emit closed-form samples"),
+            ("verify", "emit a verification report"),
+            ("oracle", "emit the Runge-Kutta reference")))
+    for p in (solve, verify, oracle):
+        _add_equation_args(p)
     verify.add_argument("--check-tol", type=float, default=1e-6,
                         help="oracle/residual tolerance (default 1e-6)")
-    verify.add_argument("--oracle-tol", type=float, default=1e-9,
-                        help="Runge-Kutta step tolerance (default 1e-9)")
+    for p in (verify, oracle):
+        p.add_argument("--oracle-tol", type=float, default=1e-9,
+                       help="Runge-Kutta step tolerance (default 1e-9)")
     verify.add_argument("--perturb", type=float, default=0.0,
                         help="offset the solution by this amount first "
                              "(defect-sensitivity diagnostic)")
-
-    oracle = sub.add_parser("oracle", help="emit the Runge-Kutta reference")
-    _add_equation_args(oracle)
-    oracle.add_argument("--oracle-tol", type=float, default=1e-9,
-                        help="Runge-Kutta step tolerance (default 1e-9)")
     return root
 
 
@@ -184,124 +181,107 @@ def _fmt(v: float) -> str:
 
 
 def _parameters(ns) -> dict:
-    params = {"class": ns.klass}
-    for name in ("f", "g", "alpha", "beta", "b", "c"):
-        v = getattr(ns, name)
-        if v is not None:
-            params[name] = v
-    params["x0"] = ns.x0
-    params["y0"] = ns.y0
-    if ns.yp0 is not None:
-        params["yp0"] = ns.yp0
-    params["range"] = list(ns.xrange)
-    params["samples"] = ns.samples
-    return params
+    given = vars(ns)
+    return {"class": ns.klass,
+            **{name: given[name] for name in (
+                "f", "g", "alpha", "beta", "b", "c", "x0", "y0", "yp0")
+               if given[name] is not None},
+            "range": list(ns.xrange), "samples": ns.samples}
 
 
-def _json_bound(v: float):
-    return None if math.isinf(v) else v
-
-
-def _meta_lines(klass: str, constants: dict, validity, provenance: str):
-    consts = ",".join(f"{k}={_fmt(v)}" for k, v in constants.items())
-    return [
-        f"# class: {klass}",
-        f"# constants: {consts}",
-        f"# validity: {_fmt(validity[0])}:{_fmt(validity[1])}",
-        f"# provenance: {provenance}",
-    ]
-
-
-def _document_solve(ns, sol, xs, ys) -> str:
-    v = sol.validity
+def _head(ns, constants: dict, validity, provenance: str):
+    """The closed-form head of a solve or verify document: its CSV
+    metadata lines, or its JSON document's leading keys."""
     if ns.format == "csv":
-        lines = _meta_lines(ns.klass, sol.constants, (v.lo, v.hi),
-                            sol.provenance)
-        lines.append("x,y")
-        lines.extend(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
-        return "\n".join(lines) + "\n"
-    doc = {
+        consts = ",".join(f"{k}={_fmt(v)}" for k, v in constants.items())
+        return [
+            f"# class: {ns.klass}",
+            f"# constants: {consts}",
+            f"# validity: {_fmt(validity[0])}:{_fmt(validity[1])}",
+            f"# provenance: {provenance}",
+        ]
+    return {
         "class": ns.klass,
         "parameters": _parameters(ns),
-        "constants": sol.constants,
-        "validity": {"lo": _json_bound(v.lo), "hi": _json_bound(v.hi)},
-        "provenance": sol.provenance,
-        "samples": [{"x": float(x), "y": float(y)} for x, y in zip(xs, ys)],
+        "constants": constants,
+        "validity": {k: None if math.isinf(v) else v
+                     for k, v in zip(("lo", "hi"), validity)},
+        "provenance": provenance,
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def _render(doc, samples=None) -> str:
+    """A document as text: ``doc`` is its CSV lines or its JSON dict, and
+    ``samples`` an (xs, ys) table ending it, if any."""
+    csv = isinstance(doc, list)
+    if samples is not None:
+        rows = zip(*samples)
+        if csv:
+            doc.append("x,y")
+            doc.extend(f"{_fmt(x)},{_fmt(y)}" for x, y in rows)
+        else:
+            doc["samples"] = [{"x": float(x), "y": float(y)} for x, y in rows]
+    return "\n".join(doc) + "\n" if csv else json.dumps(doc, indent=2) + "\n"
 
 
 def _document_verify(ns, report) -> str:
+    doc = _head(ns, report.constants, report.validity, report.provenance)
     if ns.format == "csv":
-        lines = _meta_lines(ns.klass, report.constants, report.validity,
-                            report.provenance)
-        lines.append(f"# overall: {'pass' if report.passed else 'fail'}")
+        doc.append(f"# overall: {'pass' if report.passed else 'fail'}")
         if report.note:
-            lines.append(f"# note: {report.note}")
-        lines.append("name,max_deviation,tolerance,pass")
-        lines.extend(
+            doc.append(f"# note: {report.note}")
+        doc.append("name,max_deviation,tolerance,pass")
+        doc.extend(
             f"{c.name},{_fmt(c.max_deviation)},{_fmt(c.tolerance)},"
             f"{'true' if c.passed else 'false'}" for c in report.checks)
-        return "\n".join(lines) + "\n"
-    doc = {
-        "class": ns.klass,
-        "parameters": _parameters(ns),
-        "constants": report.constants,
-        "validity": {"lo": _json_bound(report.validity[0]),
-                     "hi": _json_bound(report.validity[1])},
-        "provenance": report.provenance,
-        "report": report.to_dict(),
-    }
-    if report.note:
-        doc["note"] = report.note
-    return json.dumps(doc, indent=2) + "\n"
+    else:
+        doc["report"] = report.to_dict()
+        if report.note:
+            doc["note"] = report.note
+    return _render(doc)
 
 
 def _document_oracle(ns, oracle) -> str:
     lo, hi = ns.xrange
     if ns.format == "csv":
-        lines = [
+        doc = [
             f"# class: {ns.klass}",
             f"# method: {oracle.method}",
             f"# steps: taken={oracle.steps_taken} "
             f"rejected={oracle.steps_rejected}",
         ]
         if oracle.truncated:
-            lines.append(f"# truncated_at: {_fmt(oracle.truncated_at)}")
-        lines.append("x,y")
-        lines.extend(f"{_fmt(x)},{_fmt(y)}"
-                     for x, y in zip(oracle.grid, oracle.values))
-        return "\n".join(lines) + "\n"
-    doc = {
-        "class": ns.klass,
-        "parameters": _parameters(ns),
-        "method": oracle.method,
-        "steps": {"taken": oracle.steps_taken,
-                  "rejected": oracle.steps_rejected},
-        "truncated_at": oracle.truncated_at,
-        "validity": {"lo": lo, "hi": hi},
-        "samples": [{"x": float(x), "y": float(y)}
-                    for x, y in zip(oracle.grid, oracle.values)],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+            doc.append(f"# truncated_at: {_fmt(oracle.truncated_at)}")
+    else:
+        doc = {
+            "class": ns.klass,
+            "parameters": _parameters(ns),
+            "method": oracle.method,
+            "steps": {"taken": oracle.steps_taken,
+                      "rejected": oracle.steps_rejected},
+            "truncated_at": oracle.truncated_at,
+            "validity": {"lo": lo, "hi": hi},
+        }
+    return _render(doc, (oracle.grid, oracle.values))
 
 
 def _execute(ns) -> tuple[str, int]:
     spec, ic = _make_spec(ns)
     lo, hi = ns.xrange
+    if ns.command == "oracle":
+        oracle = rk_reference(spec, ic, (lo, hi), ns.oracle_tol, ns.samples)
+        return _document_oracle(ns, oracle), 0
+    cfg = _make_cfg(ns)
     if ns.command == "solve":
-        cfg = _make_cfg(ns)
         sol = construct(spec, ic, cfg)
-        xs, ys = sol.sample(lo, hi, ns.samples)
-        return _document_solve(ns, sol, xs, ys), 0
-    if ns.command == "verify":
-        cfg = _make_cfg(ns)
-        report = full_verify(spec, ic, (lo, hi), cfg, grid_size=ns.samples,
-                             oracle_tol=ns.oracle_tol,
-                             check_tol=ns.check_tol, perturb=ns.perturb)
-        return _document_verify(ns, report), 0 if report.passed else 3
-    oracle = rk_reference(spec, ic, (lo, hi), ns.oracle_tol, ns.samples)
-    return _document_oracle(ns, oracle), 0
+        samples = sol.sample(lo, hi, ns.samples)
+        v = sol.validity
+        return _render(_head(ns, sol.constants, (v.lo, v.hi),
+                             sol.provenance), samples), 0
+    report = full_verify(spec, ic, (lo, hi), cfg, grid_size=ns.samples,
+                         oracle_tol=ns.oracle_tol,
+                         check_tol=ns.check_tol, perturb=ns.perturb)
+    return _document_verify(ns, report), 0 if report.passed else 3
 
 
 def run(argv, out=None, err=None) -> int:

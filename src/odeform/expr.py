@@ -14,11 +14,16 @@ atan (``log`` is the natural logarithm). Grammar, highest binding first::
 is ``-(x^2)`` and ``2^3^2`` is ``2^(3^2)``. There is no unary plus and no
 implicit multiplication; ``2x`` and ``2*+x`` are syntax errors.
 
-parse() reads the text in one recursive-descent pass that emits the
-postfix tape as it goes, each rule appending its opcode after its
-operands' code (the one-pass scheme of Wirth, *Compiler Construction*,
-1996); no syntax tree is built. Nesting too deep for that recursion is a
-syntax error. The result is an immutable Expression.
+The text is cut into tokens by one regular expression, one named
+alternative per token kind, each match skipping the blanks before its
+token (the tokenizer recipe of Python's ``re`` documentation); a character
+no token can start with is a syntax error. parse() reads the tokens in one
+recursive-descent pass that emits the postfix tape as it goes, each rule
+appending its opcode after its operands' code (the one-pass scheme of
+Wirth, *Compiler Construction*, 1996); no syntax tree is built. One rule
+reads both left-associative levels, ``expr`` and ``term`` of the grammar.
+Nesting too deep for that recursion is a syntax error. The result is an
+immutable Expression.
 
 Evaluation is reentrant, safe to call from multiple threads, and total:
 every point either yields a finite float or raises EvalDomainError /
@@ -221,12 +226,20 @@ _STATUS_MESSAGES = {
     ERR_OVERFLOW: "overflow",
 }
 
-_NUMBER_RE = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# One alternative per token kind, after any blanks; ``bad`` takes the one
+# character no other alternative can start with.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:"
+    r"(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^])"
+    r"|(?P<lparen>\()|(?P<rparen>\))|(?P<end>\Z)|(?P<bad>.))", re.S)
+
+# The operators of the two left-associative levels, loosest first.
+_BINARY = ({"+": OP_ADD, "-": OP_SUB}, {"*": OP_MUL, "/": OP_DIV})
 
 
 class _Token(NamedTuple):
-    kind: str   # "num", "name", "op", "lparen", "rparen", "end"
+    kind: str   # a group name of _TOKEN_RE other than "bad"
     text: str
     pos: int    # character position; converted to bytes when reporting
 
@@ -241,42 +254,21 @@ def _syntax_error(text: str, pos: int, message: str):
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            m = _NUMBER_RE.match(text, i)
-            if not m:
-                _syntax_error(text, i, f"malformed number starting at {ch!r}")
-            tokens.append(_Token("num", m.group(), i))
-            i = m.end()
-            continue
-        if ch.isalpha() or ch == "_":
-            m = _NAME_RE.match(text, i)
-            if not m:  # alphabetic but outside ASCII, e.g. a Greek letter
-                _syntax_error(text, i, f"unexpected character {ch!r}")
-            tokens.append(_Token("name", m.group(), i))
-            i = m.end()
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("lparen", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", ch, i))
-            i += 1
-            continue
-        _syntax_error(text, i, f"unexpected character {ch!r}")
-    tokens.append(_Token("end", "", n))
-    return tokens
+    pos = 0
+    while True:
+        m = _TOKEN_RE.match(text, pos)
+        kind = m.lastgroup
+        tok = _Token(kind, m.group(kind), m.start(kind))
+        if kind == "bad":
+            ch = tok.text
+            _syntax_error(text, tok.pos,
+                          f"malformed number starting at {ch!r}"
+                          if ch.isdigit() or ch == "." else
+                          f"unexpected character {ch!r}")
+        tokens.append(tok)
+        if kind == "end":
+            return tokens
+        pos = m.end()
 
 
 class _Parser:
@@ -300,6 +292,11 @@ class _Parser:
 
     def fail(self, tok: _Token, message: str):
         _syntax_error(self.text, tok.pos, message)
+
+    def close(self):
+        tok = self.advance()
+        if tok.kind != "rparen":
+            self.fail(tok, "expected ')'")
 
     def emit(self, op: int, value: float = 0.0):
         self.code.append(op)
@@ -326,31 +323,25 @@ class _Parser:
                 np.asarray(self.cval, dtype=np.float64),
                 need)
 
-    def expr(self):
-        self.term()
+    def expr(self, level: int = 0):
+        """A left-associative chain joined by the operators of
+        ``_BINARY[level]``; its operands are level-1 chains at level 0 and
+        factors at level 1."""
+        op = None
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                self.term()
-                self.emit(OP_ADD if tok.text == "+" else OP_SUB)
-            else:
-                return
-
-    def term(self):
-        self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "*/":
-                self.advance()
+            if level:
                 self.factor()
-                self.emit(OP_MUL if tok.text == "*" else OP_DIV)
             else:
+                self.expr(1)
+            if op is not None:
+                self.emit(op)
+            op = _BINARY[level].get(self.peek().text)
+            if op is None:
                 return
+            self.advance()
 
     def factor(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        if self.peek().text == "-":
             self.advance()
             self.factor()
             self.emit(OP_NEG)
@@ -359,8 +350,7 @@ class _Parser:
 
     def power(self):
         self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
+        if self.peek().text == "^":
             self.advance()
             # right-associative; the exponent may carry a unary minus
             self.factor()
@@ -385,19 +375,13 @@ class _Parser:
                               f"expected '(' after function {tok.text!r}")
                 self.advance()
                 self.expr()
-                closing = self.peek()
-                if closing.kind != "rparen":
-                    self.fail(closing, "expected ')'")
-                self.advance()
+                self.close()
                 self.emit(_FUNCTIONS[tok.text])
                 return
             self.fail(tok, f"unknown identifier {tok.text!r}")
         if tok.kind == "lparen":
             self.expr()
-            closing = self.peek()
-            if closing.kind != "rparen":
-                self.fail(closing, "expected ')'")
-            self.advance()
+            self.close()
             return
         if tok.kind == "end":
             self.fail(tok, "unexpected end of input")

@@ -437,6 +437,17 @@ def solve_linear_general(f, g, C: float, x0: float,
     return solve_linear_ivp(f, g, InitialCondition(x0, C), cfg)
 
 
+def _bernoulli_branch(alpha: float, ic: InitialCondition):
+    """(1 - alpha, y0^(1-alpha), sign of y0, sign of that power): the real
+    branch through y0 != 0 that both bernoulli routes follow."""
+    om = 1.0 - alpha
+    if ic.y0 < 0.0 and not is_integer_valued(om):
+        raise ParameterError(
+            "negative y0 needs an integer 1-alpha; no real branch otherwise")
+    C = signed_power(ic.y0, om, ic.x0)
+    return om, C, 1.0 if ic.y0 > 0.0 else -1.0, 1.0 if C > 0.0 else -1.0
+
+
 def solve_bernoulli(f, g, alpha: float, ic: InitialCondition,
                     cfg: QuadratureConfig | None = None) -> ClosedFormSolution:
     """Solve y' + f y = g y^alpha with y(x0) = y0, alpha not in {0, 1}.
@@ -451,7 +462,6 @@ def solve_bernoulli(f, g, alpha: float, ic: InitialCondition,
     """
     _check_alpha(alpha)
     x0, y0 = ic.x0, ic.y0
-    om = 1.0 - alpha
 
     if y0 == 0.0:
         if alpha <= 0.0:
@@ -463,13 +473,7 @@ def solve_bernoulli(f, g, alpha: float, ic: InitialCondition,
             "zero particular solution of the bernoulli equation",
             non_unique=(0.0 < alpha < 1.0))
 
-    if y0 < 0.0 and not is_integer_valued(om):
-        raise ParameterError(
-            "negative y0 needs an integer 1-alpha; no real branch otherwise")
-
-    s_y = 1.0 if y0 > 0.0 else -1.0
-    C = signed_power(y0, om, x0)
-    s_b = 1.0 if C > 0.0 else -1.0
+    om, C, s_y, s_b = _bernoulli_branch(alpha, ic)
     expo = 1.0 / om
     F = Antiderivative(f, x0, cfg)
     W = weighted_cumulative(g, F, om, cfg)
@@ -504,13 +508,7 @@ def solve_bernoulli_via_linear(f, g, alpha: float, ic: InitialCondition,
     _check_alpha(alpha)
     if ic.y0 == 0.0:
         raise ParameterError("the linear substitution needs y0 != 0")
-    om = 1.0 - alpha
-    if ic.y0 < 0.0 and not is_integer_valued(om):
-        raise ParameterError(
-            "negative y0 needs an integer 1-alpha; no real branch otherwise")
-    u0 = signed_power(ic.y0, om, ic.x0)
-    s_y = 1.0 if ic.y0 > 0.0 else -1.0
-    s_u = 1.0 if u0 > 0.0 else -1.0
+    om, u0, s_y, s_u = _bernoulli_branch(alpha, ic)
     expo = 1.0 / om
     ffn = as_array_fn(f, masked=True)
     gfn = as_array_fn(g, masked=True)
@@ -601,38 +599,31 @@ def solve_second_order(b: float, c: float, C1: float, C2: float,
         """coef * e^(rate t), and where the exponential overflows."""
         if coef == 0.0:
             return np.zeros(ts.shape), np.zeros(ts.shape, bool)
+        z = rate * ts
+        return coef * np.exp(z), z > EXP_MAX
+
+    def evaluate(xs: np.ndarray):
+        ts = xs - x0
         with np.errstate(over="ignore", invalid="ignore"):
-            z = rate * ts
-            return coef * np.exp(z), z > EXP_MAX
+            if case == "real":
+                y1, over1 = exp_term(C1, r1, ts)
+                y2, over2 = exp_term(C2, r2, ts)
+                vals, over = y1 + y2, over1 | over2
+            else:
+                e, over = exp_term(1.0, r1, ts)
+                if case == "repeated":
+                    vals = (C1 + C2 * ts) * e
+                else:
+                    vals = e * (C1 * np.cos(r2 * ts) + C2 * np.sin(r2 * ts))
+        return _outcome(xs, vals, ((over, _EXP_OVERFLOW),))
 
-    if case == "real":
-        def evaluate(xs: np.ndarray):
-            ts = xs - x0
-            a, over_a = exp_term(C1, r1, ts)
-            b, over_b = exp_term(C2, r2, ts)
-            with np.errstate(invalid="ignore"):
-                vals = a + b
-            return _outcome(xs, vals, ((over_a | over_b, _EXP_OVERFLOW),))
-        note = (f"two distinct real rates {r1!r} and {r2!r}; C1 multiplies "
-                "the smaller rate")
-    elif case == "repeated":
-        def evaluate(xs: np.ndarray):
-            ts = xs - x0
-            e, over = exp_term(1.0, r1, ts)
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = (C1 + C2 * ts) * e
-            return _outcome(xs, vals, ((over, _EXP_OVERFLOW),))
-        note = f"repeated real rate {r1!r} with a linear-in-x factor"
-    else:
-        def evaluate(xs: np.ndarray):
-            ts = xs - x0
-            e, over = exp_term(1.0, r1, ts)
-            with np.errstate(over="ignore", invalid="ignore"):
-                osc = C1 * np.cos(r2 * ts) + C2 * np.sin(r2 * ts)
-                vals = e * osc
-            return _outcome(xs, vals, ((over, _EXP_OVERFLOW),))
-        note = f"damped oscillation, rate {r1!r}, angular frequency {r2!r}"
-
+    note = {
+        "real": f"two distinct real rates {r1!r} and {r2!r}; C1 multiplies "
+                "the smaller rate",
+        "repeated": f"repeated real rate {r1!r} with a linear-in-x factor",
+        "complex": f"damped oscillation, rate {r1!r}, angular frequency "
+                   f"{r2!r}",
+    }[case]
     return ClosedFormSolution(
         EquationClass.SECOND_ORDER, evaluate, x0,
         {"C1": float(C1), "C2": float(C2)},

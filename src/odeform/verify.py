@@ -216,16 +216,18 @@ def _dense(ts, x, y, h, ks):
     return out
 
 
-def _march(coefs, rhs, x0, y0, k0, targets, tol, counters):
-    """Step from (x0, y0) to targets[-1]; targets are ordered away from x0.
+def _march(coefs, rhs, x0, y0, k0, grid, cols, out, tol, counters):
+    """Step from (x0, y0) to the last of the targets grid[cols], which are
+    ordered away from x0, writing the state at each target reached into its
+    column of ``out``.
 
     The step size follows the error controller alone; only the last step is
-    clipped, to end on targets[-1]. Grid values come from the continuous
-    extension of the step that covers them. Returns (chunks, truncated_at):
-    chunks are (points, components) for the targets reached, and
-    truncated_at is None, or where |y| blew up or the step shrank away
-    because stage evaluation kept failing.
+    clipped, to end on the last target. Grid values come from the
+    continuous extension of the step that covers them. Returns None, or
+    where |y| blew up or the step shrank away because stage evaluation kept
+    failing.
     """
+    targets = grid[cols]
     end = float(targets[-1])
     direction = 1.0 if end > x0 else -1.0
     span = abs(end - x0)
@@ -234,7 +236,6 @@ def _march(coefs, rhs, x0, y0, k0, targets, tol, counters):
     h = direction * span / 100.0 or end - x0
     hmin = 1e-13 * max(1.0, span)
     reach = [(t - x0) * direction for t in targets.tolist()]
-    chunks = []
     done = 0
     x, y, k1 = x0, y0, k0
     while x != end:
@@ -256,11 +257,11 @@ def _march(coefs, rhs, x0, y0, k0, targets, tol, counters):
                 counters["taken"] += 1
                 xn = end if last else x + h
                 if max(map(abs, y5)) > _BLOWUP:
-                    return chunks, xn
+                    return xn
                 stop = bisect.bisect_right(reach, (xn - x0) * direction)
                 if stop > done:
-                    ts = targets[done:stop]
-                    chunks.append((ts, _dense(ts, x, y, h, ks)))
+                    out[:, cols[done:stop]] = _dense(targets[done:stop], x,
+                                                     y, h, ks)
                     done = stop
                 x, y, k1 = xn, y5, [kj[6] for kj in ks]
                 h *= 5.0 if enorm == 0.0 else min(5.0, max(
@@ -271,8 +272,8 @@ def _march(coefs, rhs, x0, y0, k0, targets, tol, counters):
             h *= 0.5
         counters["rejected"] += 1
         if abs(h) < hmin:
-            return chunks, x
-    return chunks, None
+            return x
+    return None
 
 
 def rk_reference(spec: EquationSpec, ic: InitialCondition,
@@ -306,24 +307,20 @@ def rk_reference(spec: EquationSpec, ic: InitialCondition,
     k0 = rhs(coefs(np.array([x0]))[0], y0)
 
     grid = np.linspace(lo, hi, n)
-    at = grid[grid == x0]
-    chunks = [(at, [np.full(len(at), v) for v in y0])]
+    ys = np.full((len(y0), n), np.nan)
+    ys[:, grid == x0] = np.array(y0)[:, None]
     counters = {"taken": 0, "rejected": 0}
     truncated_at = None
-    for targets in (grid[grid < x0][::-1], grid[grid > x0]):
-        if len(targets):
-            done, stop = _march(coefs, rhs, x0, y0, k0, targets, tol,
-                                counters)
-            chunks.extend(done)
+    for cols in (np.flatnonzero(grid < x0)[::-1], np.flatnonzero(grid > x0)):
+        if cols.size:
+            stop = _march(coefs, rhs, x0, y0, k0, grid, cols, ys, tol,
+                          counters)
             if stop is not None:
                 truncated_at = stop
-
-    gx = np.concatenate([ts for ts, _ in chunks])
-    order = np.argsort(gx, kind="stable")
-    comps = [np.concatenate([ys[j] for _, ys in chunks])[order]
-             for j in range(len(y0))]
+    reached = ~np.isnan(ys[0])   # the points no march reached stay NaN
     return OracleSolution(
-        grid=gx[order], values=comps[0], slopes=comps[1] if second else None,
+        grid=grid[reached], values=ys[0, reached],
+        slopes=ys[1, reached] if second else None,
         method="rk45", steps_taken=counters["taken"],
         steps_rejected=counters["rejected"],
         truncated=truncated_at is not None, truncated_at=truncated_at)
