@@ -74,6 +74,8 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError("range bounds must be finite")
     if not lo < hi:
         raise argparse.ArgumentTypeError("range needs lo < hi")
+    if not math.isfinite(hi - lo):
+        raise argparse.ArgumentTypeError("range width hi - lo must be finite")
     return lo, hi
 
 

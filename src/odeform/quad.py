@@ -444,7 +444,10 @@ class Antiderivative:
 
     The first cell, going out from x0, that fails for good ends the table
     on its side: F is NaN from where that cell fails outward, and
-    ``values`` raises or, with ``masked``, reads NaN there.
+    ``values`` raises or, with ``masked``, reads NaN there. Where the sum
+    of finite cell integrals leaves double range, ``values`` raises
+    EvalOverflowError and the masked form reads the infinity, a limit the
+    closed forms can still take.
 
     ``eval_count`` counts integrand evaluations, which makes cost claims
     testable: covering a fresh span costs 17 per cell plus 17 per part of
@@ -564,19 +567,20 @@ class Antiderivative:
                     self._grow(side, int(n))
                 out[sel] = side.read(xs[sel], m[sel], on[sel])
         if not masked:
-            bad = np.isnan(out)
+            bad = ~np.isfinite(out)
             if bad.any():
                 raise self._error_at(float(xs[int(np.argmax(bad))]))
         return out
 
     def _error_at(self, x: float) -> EvalError:
-        """The typed error of F at a point x where it is NaN: that of the
-        cell that failed between x0 and x."""
+        """The typed error of F at a point x where it is not finite: that of
+        the cell that failed between x0 and x, else an overflow of the
+        running sum."""
         side = self._sides[0 if x >= self._x0 else 1]
         with self._lock:
             fail = side.fail
         if fail is None or side.sign * (x - fail[0]) < 0.0:
-            return EvalDomainError("antiderivative is not finite", x)
+            return EvalOverflowError("antiderivative outside double range", x)
         _, inner, outer, node, est, err = fail
         return _failure(self._src, node, est, err,
                         (min(inner, outer), max(inner, outer)), outer)

@@ -563,17 +563,24 @@ def solve_exp(f, g, beta: float, ic: InitialCondition,
 
 
 def _classify_roots(b: float, c: float):
-    """Case split on the discriminant b^2 - 4c with a scaled threshold."""
-    disc = b * b - 4.0 * c
-    thresh = 1e-12 * max(1.0, b * b, abs(4.0 * c))
+    """Case split on the discriminant b^2 - 4c with a scaled threshold;
+    returns (case, r1, r2) as solve_second_order describes them."""
+    # b and c scaled by 2^-e and 2^-2e keep b^2 in range; powers of two
+    # scale exactly, so the split is the unscaled one wherever that fits.
+    e = max(0, math.frexp(max(abs(b), math.sqrt(abs(c))))[1])
+    bs, cs = math.ldexp(b, -e), math.ldexp(c, -2 * e)
+    disc = bs * bs - 4.0 * cs
+    thresh = 1e-12 * max(math.ldexp(1.0, -2 * e), bs * bs, abs(4.0 * cs))
     r = -0.5 * b + 0.0  # normalize -0.0
     if abs(disc) <= thresh:
         return "repeated", r, None
-    if disc > 0.0:
-        s = 0.5 * math.sqrt(disc)
-        return "real", r - s, r + s
-    w = 0.5 * math.sqrt(-disc)
-    return "complex", r, w
+    s = math.ldexp(0.5 * math.sqrt(abs(disc)), e)
+    if disc < 0.0:
+        return "complex", r, s
+    # The rate of larger magnitude adds two terms of one sign; the other is
+    # c divided by it (Vieta), not a difference that cancels.
+    big = r - math.copysign(s, b)
+    return "real", *sorted((big, c / big + 0.0))
 
 
 def solve_second_order(b: float, c: float, C1: float, C2: float,
@@ -584,10 +591,17 @@ def solve_second_order(b: float, c: float, C1: float, C2: float,
     b^2 - 4c (threshold 1e-12 scaled by max(1, b^2, |4c|)):
 
     * positive: C1 e^(r1 t) + C2 e^(r2 t), r1 < r2 the two real roots
-      (C1 belongs to the smaller root -b/2 - sqrt(disc)/2);
+      (C1 belongs to the smaller root);
     * zero: (C1 + C2 t) e^(-b t / 2);
     * negative: e^(-b t / 2) (C1 cos(w t) + C2 sin(w t)),
       w = sqrt(4c - b^2)/2.
+
+    The discriminant and its threshold are formed from b and c scaled by
+    2^-e and 2^-2e, e the binary exponent of max(|b|, sqrt|c|) where that
+    is positive, so b^2 cannot overflow; the scaling is exact and leaves
+    the threshold as stated. The real rate of larger magnitude is
+    -b/2 - sign(b) sqrt(disc)/2 and the other c divided by it, so neither
+    is computed by a cancelling difference.
     """
     for name, v in (("b", b), ("c", c), ("C1", C1), ("C2", C2), ("x0", x0)):
         if not (isinstance(v, (int, float)) and math.isfinite(v)):
@@ -637,6 +651,7 @@ def solve_second_order_ivp(b: float, c: float,
 
     The basis of solve_second_order is anchored at x0, so the constants
     follow from (y0, yp0) in closed form and never scale with e^(r x0).
+    Constants outside double range raise ParameterError.
     """
     if ic.yp0 is None:
         raise ParameterError("second-order initial data needs yp0")
@@ -649,6 +664,9 @@ def solve_second_order_ivp(b: float, c: float,
         C1, C2 = y0, yp0 - r1 * y0
     else:
         C1, C2 = y0, (yp0 - r1 * y0) / r2
+    if not (math.isfinite(C1) and math.isfinite(C2)):
+        raise ParameterError(
+            "the second-order basis constants overflow for this initial data")
     return solve_second_order(b, c, C1, C2, x0=ic.x0)
 
 

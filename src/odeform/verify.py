@@ -276,6 +276,19 @@ def _march(coefs, rhs, x0, y0, k0, grid, cols, out, tol, counters):
     return None
 
 
+def _range(xrange, x0: float) -> tuple[float, float]:
+    """(lo, hi) of xrange as floats, checked to hold x0 and to be an
+    interval of positive, finite width."""
+    lo, hi = float(xrange[0]), float(xrange[1])
+    if not (lo < hi):
+        raise ParameterError("need lo < hi")
+    if not math.isfinite(hi - lo):
+        raise ParameterError("the range width hi - lo must be finite")
+    if not (lo <= x0 <= hi):
+        raise ParameterError("x0 must lie inside the range")
+    return lo, hi
+
+
 def rk_reference(spec: EquationSpec, ic: InitialCondition,
                  xrange: tuple[float, float], tol: float = _ORACLE_TOL,
                  grid_size: int = 201) -> OracleSolution:
@@ -289,11 +302,7 @@ def rk_reference(spec: EquationSpec, ic: InitialCondition,
     trajectory is truncated there and flagged, keeping the grid points
     reached before; failure at x0 itself raises.
     """
-    lo, hi = float(xrange[0]), float(xrange[1])
-    if not (lo < hi):
-        raise ParameterError("need lo < hi")
-    if not (lo <= ic.x0 <= hi):
-        raise ParameterError("x0 must lie inside the range")
+    lo, hi = _range(xrange, ic.x0)
     if not (0 < tol < 1):
         raise ParameterError("tol must be in (0, 1)")
     n = _point_count(grid_size)
@@ -539,11 +548,9 @@ def full_verify(spec: EquationSpec, ic: InitialCondition,
     defects of that size are caught. Stage failures raise StageError
     naming the stage.
     """
-    lo, hi = float(xrange[0]), float(xrange[1])
-    if not (lo < hi):
-        raise ParameterError("need lo < hi")
-    if not (lo <= ic.x0 <= hi):
-        raise ParameterError("x0 must lie inside the range")
+    lo, hi = _range(xrange, ic.x0)
+    if not (0 < check_tol < 1):
+        raise ParameterError("check_tol must be in (0, 1)")
     if not math.isfinite(perturb):
         raise ParameterError("perturb must be finite")
     grid_size = _point_count(grid_size)

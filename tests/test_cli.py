@@ -571,3 +571,44 @@ def test_overflowing_weighted_integrand_ends_validity(tmp_path):
     assert max(x for x, _ in rows) < hi
     for x, y in rows:
         assert abs(y - math.cosh(x)) <= 1e-8 * math.cosh(x), x
+
+
+_SECOND_ORDER_IVP = ["--class", "second-order", "--x0", "0", "--y0", "1",
+                     "--yp0", "0"]
+
+
+@pytest.mark.parametrize("b, hi, x, y", [
+    # b * b overflowed and the rates came out "repeated": y read 0.
+    ("1e200", "1", 1.0, 1.0),
+    # The smaller rate -b/2 + sqrt(disc)/2 cancelled: y read
+    # 0.36787663996690934.
+    ("1e6", "1e6", 1e6, math.exp(-1.0)),
+])
+def test_second_order_extreme_rates_solve_correctly(b, hi, x, y):
+    code, out, err = invoke(["solve"] + _SECOND_ORDER_IVP
+                            + ["--b", b, "--c", "1", "--range", f"0:{hi}",
+                               "--samples", "3"])
+    assert (code, err) == (0, "")
+    assert "repeated" not in out
+    last = csv_rows(out)[-1]
+    assert last[0] == x and last[1] == pytest.approx(y, rel=1e-15)
+
+
+def test_second_order_overflowing_discriminant_names_no_constant():
+    # The constructor failed on "C2 must be a finite number", a constant the
+    # user never gave. The closed form now stands; the explicit oracle
+    # cannot step a rate of -1e308.
+    err = assert_clean_error(["verify"] + _SECOND_ORDER_IVP
+                             + ["--b", "1e308", "--c", "1e308",
+                                "--range", "0:1"], 2)
+    assert "constructor" not in err and "C2" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "oracle"])
+def test_range_of_infinite_width_is_a_usage_error(command):
+    # oracle printed an empty table truncated at 0; verify and solve named
+    # checkpoint_spacing, a setting the user never gave.
+    err = assert_clean_error(
+        [command, "--class", "linear", "--f", "1", "--g", "0", "--x0", "0",
+         "--y0", "1", "--range=-1e308:1e308", "--samples", "3"], 1)
+    assert "range width" in err

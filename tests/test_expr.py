@@ -124,6 +124,11 @@ def test_documented_evaluations():
         ("x + $", 4, "character"),
         ("()", 1, None),
         ("1..2", 2, None),
+        # a digit outside ASCII is a malformed number, other characters
+        # no token starts with are unexpected
+        ("x*\u0663", 2, "malformed number"),
+        ("x^\u00b2", 2, "malformed number"),
+        ("x\f", 1, "unexpected character"),
     ],
 )
 def test_syntax_errors(text, offset, fragment):

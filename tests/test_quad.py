@@ -480,3 +480,28 @@ def test_weighted_cumulative_overflow_reports_location():
         W.value(1.0)
     # exp(1000 t) overflows once t exceeds ~0.7098.
     assert 0.70 <= info.value.x <= 1.0
+
+
+def test_antiderivative_outside_double_range_raises():
+    # Each cell integral is finite; their running sum is not.
+    F = antiderivative(parse("1e308"), 0.0)
+    with pytest.raises(EvalOverflowError,
+                       match="antiderivative outside double range") as info:
+        F.value(10.0)
+    assert info.value.x == 10.0
+    # The masked read keeps the infinity, a limit the closed forms take.
+    assert F.values(np.array([10.0]), masked=True)[0] == math.inf
+
+
+def test_integral_outside_double_range_raises():
+    with pytest.raises(EvalOverflowError,
+                       match="integral outside double range"):
+        integrate(parse("1e308"), 0.0, 10.0)
+
+
+def test_weighted_node_error_names_the_failure_of_F():
+    W = weighted_cumulative(parse("1"), antiderivative(parse("sqrt(1-x)"),
+                                                       0.0), 1.0)
+    with pytest.raises(EvalDomainError, match="square root") as info:
+        W.value(1.5)
+    assert 1.0 < info.value.x < 1.5

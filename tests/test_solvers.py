@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odeform import (
+    ClosedFormSolution,
     EquationClass,
     EquationSpec,
     EvalOverflowError,
@@ -582,3 +583,62 @@ def test_values_rejects_bad_input():
         sol.sample(1.0, 0.0, 10)
     with pytest.raises(ParameterError):
         sol.sample(0.0, 1.0, 1)
+
+
+def test_second_order_rates_do_not_overflow_or_cancel():
+    # b * b overflowed, and the discriminant test then read inf <= inf as
+    # a repeated rate: y came out 0 where it is about 1.
+    sol = solve_second_order_ivp(1e200, 1.0, ic(0.0, 1.0, 0.0))
+    assert sol.case == "real"
+    assert sol.values(np.array([0.5, 1.0])).tolist() == [1.0, 1.0]
+    # -b/2 + sqrt(disc)/2 cancelled to a relative error of 7.6e-6.
+    sol = solve_second_order_ivp(1e6, 1.0, ic(0.0, 1.0, 0.0))
+    assert_ulps(sol.value(1e6), math.exp(-1.0))
+    sol = solve_second_order_ivp(1e308, 1e308, ic(0.0, 1.0, 0.0))
+    assert_ulps(sol.value(0.5), math.exp(-0.5))
+    # Ordinary rates keep their bits.
+    sol = solve_second_order_ivp(3.0, 2.0, ic(0.0, 1.0, 0.0))
+    assert "rates -2.0 and -1.0;" in sol.provenance
+
+
+def test_second_order_constants_outside_double_range_are_named():
+    with pytest.raises(ParameterError, match="basis constants overflow"):
+        solve_second_order_ivp(1e10, 1e308, ic(0.0, 1e300, 0.0))
+
+
+def test_second_order_sum_overflow_raises_without_a_warning():
+    sol = solve_second_order(-1.0, 0.0, 1e308, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalOverflowError):
+            sol.value(0.0)
+
+
+def test_failure_between_probes_raises_its_cause():
+    # 0.3 is no probe of [0, 1], so only the evaluation of the query
+    # itself sees the failure.
+    sol = ClosedFormSolution(
+        EquationClass.LINEAR, lambda xs: np.where(xs == 0.3, np.nan, 1.0),
+        0.0, {}, "")
+    with pytest.raises(EvalOverflowError) as info:
+        sol.values(np.array([0.3, 1.0]))
+    assert info.value.x == 0.3
+
+
+def test_boundary_search_stops_at_adjacent_doubles():
+    # y' = y^2 from y(0) = 1e-7 blows up at x = 1e7, where the bracket
+    # reaches adjacent doubles before it is 1e-10 wide.
+    sol = solve_bernoulli(parse("0"), parse("1"), 2.0, ic(0.0, 1e-7),
+                          QuadratureConfig(checkpoint_spacing=2e7 / 256))
+    sol.ensure_validity(0.0, 2e7)
+    assert sol.validity.hi == 1e7
+
+
+def test_sample_clips_at_a_lower_validity_bound():
+    # y' - e^(-y) = 0 from y(0) = 0 is log(1 + x), valid above x = -1.
+    sol = solve_exp(parse("-1"), parse("0"), -1.0, ic(0.0, 0.0))
+    xs, ys = sol.sample(-2.0, 1.0, 5)
+    lo = sol.validity.lo
+    assert abs(lo + 1.0) <= 1e-9
+    assert lo < xs[0] <= lo + 2e-9 and xs[-1] == 1.0
+    assert np.all(np.isfinite(ys))

@@ -544,3 +544,57 @@ def test_report_serialization_schema():
     for entry in doc["checks"]:
         assert set(entry) == {"name", "max_deviation", "tolerance", "pass"}
         assert isinstance(entry["pass"], bool)
+
+
+def test_riccati_check_inconclusive_when_every_point_is_excluded():
+    # y = e^(-100 x): |z| = 100 is past the conditioning cap everywhere.
+    sol = solve_second_order_ivp(100.0, 0.0, ic(0.0, 1.0, -100.0))
+    with pytest.raises(InconclusiveError, match="only 0 of 200"):
+        riccati_check(100.0, 0.0, sol, xrange=(0.0, 2.0))
+
+
+def test_residual_check_raises_where_the_equation_has_no_value():
+    grid = (0.0, 1.0)
+    negative = ClosedFormSolution(EquationClass.BERNOULLI,
+                                  lambda xs: -np.ones(xs.shape), 0.0, {}, "")
+    with pytest.raises(EvalDomainError, match="y\\^alpha has no real"):
+        residual_check(EquationSpec.bernoulli(parse("1"), parse("1"), 0.5),
+                       negative, xrange=grid)
+    large = ClosedFormSolution(EquationClass.EXP,
+                               lambda xs: np.full(xs.shape, 1000.0), 0.0,
+                               {}, "")
+    with pytest.raises(OdeformError, match="overflow in the residual"):
+        residual_check(EquationSpec.exp_class(parse("1"), parse("1"), 1.0),
+                       large, xrange=grid)
+
+
+def test_oracle_raises_an_overflow_at_the_anchor():
+    spec = EquationSpec.exp_class(parse("1"), parse("1"), 1.0)
+    with pytest.raises(OdeformError, match="overflow in the oracle"):
+        rk_reference(spec, ic(0.0, 1000.0), (0.0, 1.0))
+
+
+def test_interior_grid_needs_room_inside_validity():
+    # y' + y = y^2 from y(0) = 2 blows up at ln 2, just past the range's
+    # start.
+    spec = EquationSpec.bernoulli(parse("1"), parse("1"), 2.0)
+    sol = solve_bernoulli(parse("1"), parse("1"), 2.0, ic(0.0, 2.0))
+    ln2 = math.log(2.0)
+    with pytest.raises(NoOverlapError, match="too small"):
+        residual_check(spec, sol, xrange=(ln2 - 1e-5, ln2 + 1.0))
+
+
+@pytest.mark.parametrize("xrange", [(0.0, math.inf), (-1e308, 1e308)])
+def test_oracle_refuses_a_range_of_infinite_width(xrange):
+    spec = EquationSpec.linear(parse("1"), parse("0"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="width"):
+            rk_reference(spec, ic(0.0, 1.0), xrange)
+
+
+@pytest.mark.parametrize("check_tol", [math.nan, -1.0, 0.0, 1.0])
+def test_full_verify_refuses_a_check_tolerance_outside_0_1(check_tol):
+    spec = EquationSpec.linear(parse("1"), parse("0"))
+    with pytest.raises(ParameterError, match="check_tol"):
+        full_verify(spec, ic(0.0, 1.0), (0.0, 1.0), check_tol=check_tol)
