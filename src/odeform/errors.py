@@ -78,7 +78,8 @@ class NoOverlapError(OdeformError):
 
 
 class InconclusiveError(OdeformError):
-    """A verification check excluded too many points to conclude anything."""
+    """A verification check excluded too many points to conclude anything,
+    or the oracle used up its step budget."""
 
 
 class StageError(OdeformError):

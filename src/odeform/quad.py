@@ -22,6 +22,13 @@ cannot change results, and a table abscissa reads its table value exactly
 however large |x0| is. The table grows under an internal lock; concurrent
 queries from multiple threads are safe.
 
+The weighted antiderivative W = integral of g exp(scale * F) is kept on
+the same kind of cells in a scaled form, V = exp(-max(scale * F, 0)) W,
+whose table follows a recurrence from cell to cell instead of a running
+sum (_Scaled, Antiderivative._grow): W leaves double range where the
+closed forms built on it need not. weighted_cumulative() reads W back
+from V.
+
 Integrands only need to be Riemann integrable on bounded intervals; strict
 accuracy claims hold for piecewise-smooth ones. Parts that shrink to the
 floating-point limit stop splitting, and their error still counts against
@@ -55,7 +62,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, EvalDomainError, EvalError,
                      EvalOverflowError, ParameterError)
-from .expr import EXP_MAX, Expression, _points
+from .expr import Expression, _points
 
 __all__ = [
     "QuadratureConfig",
@@ -327,7 +334,7 @@ def _cells(fn, a, b, share, rel_tol, chain):
 
 def _node_error(fn, t: float) -> EvalError:
     """The typed error for an integrand node t where fn is not finite."""
-    if isinstance(fn, (Expression, _Weighted)):
+    if isinstance(fn, Expression):
         err = fn._error_at(t)
         if err is not None:
             return err
@@ -399,33 +406,42 @@ class _Side:
 
     def __init__(self, sign: float):
         self.sign = sign
-        self.tab = np.zeros(1)  # F at x0 + sign*k*h, k = 0 .. cells
+        self.tab = np.zeros(1)  # value at x0 + sign*k*h, k = 0 .. cells
         self.key = np.empty(0)  # sign * (each part's end nearer x0), ascending
         self.w = np.empty(0)    # its signed width
-        self.base = np.empty(0)  # F at that end
+        self.base = np.empty(0)  # the sum at that end, before scaling
+        self.lift = np.empty(0)  # the exponent its cell is scaled by
         self.coef = np.empty((_DEG + 1, 0))
-        # Once a cell fails: F is NaN past ``end``, and the rest names the
-        # failing cell for its error.
+        # Once a cell fails: the value is NaN past ``end``, and the rest
+        # names the failing cell for its error.
         self.fail = None  # (end, inner, outer, node, estimate, error)
 
-    def read(self, x, m, on) -> np.ndarray:
-        """F at the points x of this side. x0 + m*h <= x < x0 + (m+1)*h, and
-        ``on`` marks the abscissae x0 + m*h, which read the table; any other
-        point reads the part that holds it, up to where F fails."""
+    def read(self, x, m, on, lam) -> np.ndarray:
+        """The value at the points x of this side. x0 + m*h <= x <
+        x0 + (m+1)*h, and ``on`` marks the abscissae x0 + m*h, which read the
+        table; any other point reads the part that holds it, base +
+        d * R(t), times exp(lift - lam) where the points' exponents lam are
+        given, up to where the value fails."""
         s = self.sign
-        k = (s * m).astype(np.int64)
         out = np.full(x.size, np.nan)
-        hit = on & (k < self.tab.size)
-        out[hit] = self.tab[k[hit]]
+        if np.count_nonzero(on):
+            k = (s * m).astype(np.int64)
+            hit = on & (k < self.tab.size)
+            out[hit] = self.tab[k[hit]]
         off = ~on
         if self.fail is not None:
             off &= s * x <= s * self.fail[0]
+        if not np.count_nonzero(off):
+            return out
         xi = x[off]
         idx = np.searchsorted(self.key, s * xi, "right") - 1
         d = xi - s * self.key[idx]
         t = (d + d) / self.w[idx] - 1.0
         with np.errstate(over="ignore", invalid="ignore"):
-            out[off] = self.base[idx] + d * _clenshaw(self.coef, idx, t)
+            v = self.base[idx] + d * _clenshaw(self.coef, idx, t)
+            if lam is not None:
+                v *= np.exp(self.lift[idx] - lam[off])
+            out[off] = v
         return out
 
 
@@ -477,32 +493,53 @@ class Antiderivative:
     def checkpoints(self) -> list[tuple[float, float]]:
         """Materialized (x, F(x)) pairs, strictly increasing in x."""
         with self._lock:
-            up, down = (side.tab for side in self._sides)
-        ks = np.arange(1 - down.size, up.size)
-        return list(zip((self._x0 + ks * self._h).tolist(),
-                        np.concatenate((down[:0:-1], up)).tolist()))
+            up, down = (side.tab.size for side in self._sides)
+        xs = self._x0 + np.arange(1 - down, up) * self._h
+        return list(zip(xs.tolist(), self.values(xs, masked=True).tolist()))
+
+    def _lam(self, xs):
+        """The exponent lam >= 0 at the points xs: the value there is kept
+        and read scaled by exp(-lam) (see _Scaled); None, for 0, in a plain
+        antiderivative."""
+        return None
 
     def _grow(self, side: _Side, n: int):
-        """Build the cells of ``side`` out to n of them (requires the lock)."""
-        ks = side.sign * np.arange(side.tab.size - 1, n + 1)
-        ends = self._x0 + ks * self._h
+        """Build the cells of ``side`` out to n of them (requires the lock).
+
+        With lam = max(z, 0), cell k from a to b integrates the integrand
+        scaled by exp(-top_k), top_k the larger of lam(a) and lam(b), or the
+        one that is not NaN; the table follows value(b) = exp(top_k -
+        lam(b)) * (exp(lam(a) - top_k) * value(a) + that integral), a plain
+        running sum where z is 0.
+        """
+        cfg, sgn = self._cfg, side.sign
+        ends = self._x0 + sgn * np.arange(side.tab.size - 1, n + 1) * self._h
+        lam = self._lam(ends)
+        scaled = lam is not None
+        lam = lam if scaled else np.zeros(ends.size)
+        top = np.fmax(lam[:-1], lam[1:])
 
         # A closure over self that lives only for this call: one kept on
         # self would make every antiderivative wait for the cyclic garbage
         # collector, cells and all.
         def counted(xs: np.ndarray) -> np.ndarray:
             self.eval_count += xs.size
-            return self._masked(xs)
+            if not scaled:
+                return self._masked(xs)
+            # _cells samples a part's 17 nodes in a row; the middle one
+            # lies strictly inside the part, so inside its cell.
+            mid = xs[_DEG // 2::_DEG + 1]
+            cell = np.searchsorted(sgn * ends, sgn * mid) - 1
+            return self._integrand(xs, np.repeat(top[cell], _DEG + 1))
 
-        cfg, sgn = self._cfg, side.sign
         total, etotal, node, missed, parts = _cells(
             counted, ends[:-1], ends[1:], cfg.abs_tol / 256.0, cfg.rel_tol,
             True)
         failed = missed | ~np.isnan(node)
         if failed.any():
-            # F fails from the first bad sample in the first failing cell,
-            # or, if the cell misses its tolerance, from the part that adds
-            # most to its error if that comes first.
+            # The value fails from the first bad sample in the first failing
+            # cell, or, if the cell misses its tolerance, from the part that
+            # adds most to its error if that comes first.
             f = int(np.argmax(failed))
             cid, a, err = parts[0], parts[1], parts[5]
             lo, hi = np.searchsorted(cid, [f, f + 1])
@@ -517,15 +554,26 @@ class Antiderivative:
             total = total[:f]
         cid, a, w, excl, coef, _ = parts
         with np.errstate(over="ignore", invalid="ignore"):
-            tab = np.add.accumulate(np.concatenate((side.tab[-1:], total)))
-            base = tab[cid] + excl
+            into, out = np.exp(lam[:-1] - top), np.exp(top - lam[1:])
+            tab = np.concatenate((side.tab[-1:], out[:total.size] * total))
+            if lam.any():
+                # value(b) = exp(lam(a) - lam(b)) value(a) + the scaled
+                # integral, one cell at a time
+                grow = (into * out).tolist()
+                v = tab.tolist()
+                for k in range(total.size):
+                    v[k + 1] += grow[k] * v[k]
+                tab = np.array(v)
+            else:
+                tab = np.add.accumulate(tab)
+            base = into[cid] * tab[cid] + excl
         if side.fail is not None:
             tab = np.append(tab, np.nan)
-        side.key = np.concatenate((side.key, sgn * a))
-        side.w = np.concatenate((side.w, w))
-        side.base = np.concatenate((side.base, base))
-        side.coef = np.concatenate((side.coef, coef), axis=1)
-        side.tab = np.concatenate((side.tab, tab[1:]))
+        for name, new in (("key", sgn * a), ("w", w), ("base", base),
+                          ("lift", top[cid]), ("coef", coef),
+                          ("tab", tab[1:])):
+            setattr(side, name,
+                    np.concatenate((getattr(side, name), new), axis=-1))
 
     def values(self, xs, *, masked: bool = False) -> np.ndarray:
         """F at a 1-D array of points, any order.
@@ -534,6 +582,15 @@ class Antiderivative:
         ``masked`` such points read NaN instead.
         """
         xs = _points(xs)
+        out = self._read(xs, self._lam(xs))
+        if not masked:
+            bad = ~np.isfinite(out)
+            if bad.any():
+                raise self._error_at(float(xs[int(np.argmax(bad))]))
+        return out
+
+    def _read(self, xs, lam):
+        """The masked value at the points xs, whose exponents are lam."""
         if xs.size == 0:
             return np.empty(0)
         with self._lock:
@@ -551,25 +608,24 @@ class Antiderivative:
             # cells each side needs: up to the cell of x, or up to the
             # abscissa x itself
             need = [side.tab.size - 1 for side in self._sides]
-            if up.any():
+            ups = np.count_nonzero(up)  # faster than any() on small arrays
+            if ups:
                 need[0] = max(need[0], (m[up] + ~on[up]).max())
-            if not up.all():
+            if ups < xs.size:
                 need[1] = max(need[1], (-m[~up]).max())
             if need[0] + need[1] > _MAX_SEGMENTS:
                 raise ParameterError(
                     "query span requires more checkpoint segments than "
                     "allowed; use a larger checkpoint_spacing")
             out = np.empty(xs.size)
-            for side, sel, n in zip(self._sides, (up, ~up), need):
-                if not sel.any():
+            for side, sel, n, k in zip(self._sides, (up, ~up), need,
+                                       (ups, xs.size - ups)):
+                if not k:
                     continue
                 if n > side.tab.size - 1 and side.fail is None:
                     self._grow(side, int(n))
-                out[sel] = side.read(xs[sel], m[sel], on[sel])
-        if not masked:
-            bad = ~np.isfinite(out)
-            if bad.any():
-                raise self._error_at(float(xs[int(np.argmax(bad))]))
+                out[sel] = side.read(xs[sel], m[sel], on[sel],
+                                     lam if lam is None else lam[sel])
         return out
 
     def _error_at(self, x: float) -> EvalError:
@@ -600,59 +656,60 @@ def antiderivative(fn, x0: float,
     return Antiderivative(fn, x0, cfg)
 
 
-class _Weighted:
-    """The integrand t -> g(t) * exp(scale * F(t)) of weighted_cumulative.
+class _Scaled(Antiderivative):
+    """V(x) = exp(-max(z(x), 0)) * W(x) for W(x) = integral of g(t)
+    exp(z(t)) from x0 to x, z = scale * F for an Antiderivative F, anchored
+    where F is: V = exp(-z) W where z > 0, and V = W elsewhere.
 
-    Calls are masked: a node where g or F fails, or where the product
-    leaves double range, reads NaN or inf. Where exp(scale * F) alone
-    overflows, the product is formed as sign(g) * exp(scale * F + log|g|),
-    which stays finite while it is in range and is 0 where g is 0.
-    ``_error_at`` names which of these failures happened at a node.
+    V is built on its own cells as _grow describes: every exponential it
+    takes is bounded by how far z moves inside one cell, and its integrand
+    g(t) exp(z(t) - top) is no larger than g where z is monotone in the
+    cell. So V needs no exp(z) in double range: where z < 0 it is W, which
+    grows at most like the integral of |g|, and where z > 0 it is exp(-z)
+    W, which the first-order closed forms scale y by. Where F fails, V
+    fails with F's error.
     """
 
-    def __init__(self, g, F: Antiderivative, scale: float):
-        self._g = g
-        self._gm = as_array_fn(g, masked=True)
-        self._F = F
-        self._scale = scale
+    def __init__(self, g, F, scale, cfg=None):
+        super().__init__(g, F.x0, cfg)
+        self._F, self._scale = F, scale
 
-    def __call__(self, ts: np.ndarray) -> np.ndarray:
-        F = self._F.values(ts, masked=True)
-        g = self._gm(ts)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            z = self._scale * F
-            out = g * np.exp(z)
-            big = (z > EXP_MAX) & np.isfinite(F)
-            if big.any():
-                gb = g[big]
-                out[big] = np.sign(gb) * np.exp(z[big] + np.log(np.abs(gb)))
-        return out
+    def _z(self, xs):
+        F = self._F.values(xs, masked=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._scale * F
 
-    def _error_at(self, t: float) -> EvalError | None:
-        ts = np.array([t])
-        z = self._scale * float(self._F.values(ts, masked=True)[0])
-        if math.isnan(z):
-            return self._F._error_at(t)
-        v = self(ts)[0]
-        if z > EXP_MAX and not math.isfinite(v):
-            return EvalOverflowError(
-                "exp(scale * F) overflows inside the weighted integrand", t)
-        if not math.isfinite(self._gm(ts)[0]):
-            return _node_error(self._g, t)
-        if not math.isfinite(v):
-            return EvalOverflowError(
-                "g * exp(scale * F) overflows inside the weighted integrand",
-                t)
-        return None
+    def _lam(self, xs):
+        return np.maximum(self._z(xs), 0.0)
+
+    def _integrand(self, xs, top):
+        """The integrand at the points xs, scaled by exp(-top)."""
+        z = self._z(xs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._masked(xs) * np.exp(z - top)
+
+    def _error_at(self, x):
+        if math.isnan(self._z(np.array([x]))[0]):
+            return self._F._error_at(x)
+        return super()._error_at(x)
+
+
+class _Weighted(_Scaled):
+    """W = exp(max(z, 0)) * V, read from V's cells."""
+
+    def _read(self, xs, lam):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(lam) * super()._read(xs, lam)
 
 
 def weighted_cumulative(g, F: Antiderivative, scale: float,
                         cfg: QuadratureConfig | None = None) -> Antiderivative:
     """Antiderivative of t -> g(t) * exp(scale * F(t)), anchored where F is.
 
-    A node where the exponential or the product leaves double range fails
-    its interval; the raising forms name that node in an EvalOverflowError.
+    It is read from the scaled form of _Scaled, so it leaves double range
+    only where it does itself; the raising forms then raise
+    EvalOverflowError at the point read.
     """
     if not isinstance(F, Antiderivative):
         raise ParameterError("F must be an Antiderivative")
-    return Antiderivative(_Weighted(g, F, float(scale)), F.x0, cfg)
+    return _Weighted(g, F, scale, cfg)

@@ -8,10 +8,18 @@ functions, anchored antiderivatives realized by the quad module):
 * exponential class    y' + f(x) e^(beta y) = g(x),  beta != 0
 * constant-coefficient second order   y'' + b y' + c y = 0
 
-Antiderivatives are anchored at the initial point, so the free constant of
-each family maps directly onto the initial value: C = y0 for the linear
-class, C = y0^(1-alpha) for bernoulli, C = e^(-beta y0) for the
-exponential class.
+The three first-order classes are one linear equation in disguise: u = y
+for the linear class, u = y^(1-alpha) for bernoulli and u = e^(-beta y)
+for the exponential class solve u' + s r u = s w, with (s, r, w) = (1, f,
+g), (1 - alpha, f, g) and (beta, g, f). One builder, _scaled_form, makes
+its integrating-factor solution u = P, and one map per class turns P
+into y: y = P, y = sign(y0) |P|^(1/(1-alpha)) and y = -log(P)/beta. P is
+carried as a scale and a factor in double range (quad._Scaled), so that
+validity ends where y does, not where P or the weighted antiderivative
+inside it leaves double range. Antiderivatives are anchored at the
+initial point, so the free constant of each family maps directly onto
+the initial value: C = y0 for the linear class, C = y0^(1-alpha) for
+bernoulli, C = e^(-beta y0) for the exponential class.
 
 A ClosedFormSolution evaluates lazily and tracks the maximal interval
 around x0 on which its formula stays defined (power bases positive, log
@@ -37,8 +45,7 @@ import numpy as np
 from .errors import (EvalDomainError, EvalOverflowError, NoOverlapError,
                      OutsideValidityError, ParameterError)
 from .expr import EXP_MAX, _points, is_integer_valued, pow_scalar
-from .quad import Antiderivative, QuadratureConfig, as_array_fn, \
-    weighted_cumulative
+from .quad import Antiderivative, QuadratureConfig, _Scaled, as_array_fn
 
 __all__ = [
     "EquationClass",
@@ -191,7 +198,6 @@ def _domain(message: str):
 _EXP_OVERFLOW = _overflow("exponential overflow in the closed form")
 _BASE_ZERO = _domain("power base reached zero")
 _LOG_ZERO = _domain("log argument reached zero")
-_U_ZERO = _domain("transformed solution u reached zero")
 
 
 def _outcome(xs: np.ndarray, vals: np.ndarray, checks):
@@ -401,31 +407,50 @@ class ClosedFormSolution:
                 f"x0={self.x0!r}, constants={self.constants!r})")
 
 
+def _scaled_form(kind, rate, weight, s, C, x0, cfg, finish, provenance):
+    """A first-order closed form y = finish(q, shift) of P = q exp(shift),
+    the solution of the linear equation u' + s rate u = s weight with
+    u(x0) = C that each class reduces to.
+
+    F is the antiderivative of ``rate`` anchored at x0, z = s F, and V the
+    scaled antiderivative exp(-max(z, 0)) W of W = integral of weight *
+    exp(z) from x0 (quad._Scaled). The integrating-factor form
+    P = exp(-z) (s W + C) is exp(max(z, 0) - z) q with q = s V +
+    C exp(-max(z, 0)), which stays in double range where P need not; where
+    s V is 0, q = C and shift = -z instead, as exp(-max(z, 0)) can
+    underflow there. ``finish`` returns the values and the (mask, error)
+    checks of the class's own failures.
+    """
+    V = _Scaled(weight, Antiderivative(rate, x0, cfg), s, cfg)
+
+    def evaluate(xs):
+        z = V._z(xs)
+        lam = np.maximum(z, 0.0)
+        Vv = V._read(xs, lam)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            a = s * Vv
+            zero = a == 0.0
+            vals, checks = finish(np.where(zero, C, a + C * np.exp(-lam)),
+                                  np.where(zero, -z, lam - z))
+        return _outcome(xs, vals, ((~np.isfinite(Vv), V._error_at), *checks))
+
+    return ClosedFormSolution(kind, evaluate, x0, {"C": C}, provenance)
+
+
 def solve_linear_ivp(f, g, ic: InitialCondition,
                      cfg: QuadratureConfig | None = None) -> ClosedFormSolution:
     """Solve y' + f y = g with y(x0) = y0.
 
-    The solution is exp(-F) * (W + y0) with F the antiderivative of f
-    anchored at x0 and W the antiderivative of g * exp(F); anchoring makes
-    the free constant equal to y0 and the initial value exact.
+    The solution is P = exp(-F) (W + y0) of _scaled_form, with F the
+    antiderivative of f and W that of g exp(F), both anchored at x0;
+    anchoring makes the free constant equal to y0 and the initial value
+    exact.
     """
-    x0 = ic.x0
-    F = Antiderivative(f, x0, cfg)
-    W = weighted_cumulative(g, F, 1.0, cfg)
-    C = float(ic.y0)
-
-    def evaluate(xs: np.ndarray):
-        Fv = F.values(xs, masked=True)
-        Wv = W.values(xs, masked=True)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.exp(-Fv) * (Wv + C)
-        return _outcome(xs, vals, ((np.isnan(Fv), F._error_at),
-                                   (-Fv > EXP_MAX, _EXP_OVERFLOW),
-                                   (np.isnan(Wv), W._error_at)))
-
-    return ClosedFormSolution(
-        EquationClass.LINEAR, evaluate, x0, {"C": C},
-        "integrating-factor form exp(-F)*(W + C) with F, W anchored at x0")
+    return _scaled_form(
+        EquationClass.LINEAR, f, g, 1.0, float(ic.y0), ic.x0, cfg,
+        lambda q, shift: (np.exp(shift) * q, ()),
+        "y = exp(-F)*(W + C), W = integral of g*exp(F), F and W anchored "
+        "at x0, carried as V = exp(-max(F, 0))*W")
 
 
 def solve_linear_general(f, g, C: float, x0: float,
@@ -438,14 +463,22 @@ def solve_linear_general(f, g, C: float, x0: float,
 
 
 def _bernoulli_branch(alpha: float, ic: InitialCondition):
-    """(1 - alpha, y0^(1-alpha), sign of y0, sign of that power): the real
-    branch through y0 != 0 that both bernoulli routes follow."""
+    """(1 - alpha, C = y0^(1-alpha), finish): the real branch through
+    y0 != 0 that both bernoulli routes follow, and the _scaled_form map of
+    P = y^(1-alpha) to y = sign(y0) |P|^(1/(1-alpha)) on it, which ends
+    where P reaches zero."""
     om = 1.0 - alpha
     if ic.y0 < 0.0 and not is_integer_valued(om):
         raise ParameterError(
             "negative y0 needs an integer 1-alpha; no real branch otherwise")
     C = signed_power(ic.y0, om, ic.x0)
-    return om, C, 1.0 if ic.y0 > 0.0 else -1.0, 1.0 if C > 0.0 else -1.0
+    s_y, pos = math.copysign(1.0, ic.y0), C > 0.0
+
+    def finish(q, shift):
+        return (s_y * np.exp((shift + np.log(np.abs(q))) / om),
+                (((q > 0.0) != pos, _BASE_ZERO),))
+
+    return om, C, finish
 
 
 def solve_bernoulli(f, g, alpha: float, ic: InitialCondition,
@@ -455,44 +488,28 @@ def solve_bernoulli(f, g, alpha: float, ic: InitialCondition,
     For y0 = 0 and alpha > 0 the zero function solves the equation; it is
     returned for any such alpha and flagged non-unique for alpha in (0, 1),
     where other solutions share the same initial data. For y0 != 0 the
-    solution is sign(y0) * exp(-F) * |(1-alpha) W + C|^(1/(1-alpha)) with
-    C = y0^(1-alpha) and W the antiderivative of g * exp((1-alpha) F);
-    validity ends where the power base reaches zero. Negative y0 requires
-    an integer 1-alpha, otherwise no real branch exists.
+    solution is sign(y0) * |P|^(1/(1-alpha)) with P = exp(-(1-alpha) F) *
+    ((1-alpha) W + C) of _scaled_form, C = y0^(1-alpha) and W the
+    antiderivative of g exp((1-alpha) F), taken through log|P|; validity
+    ends where P reaches zero. Negative y0 requires an integer 1-alpha,
+    otherwise no real branch exists.
     """
     _check_alpha(alpha)
-    x0, y0 = ic.x0, ic.y0
-
-    if y0 == 0.0:
+    if ic.y0 == 0.0:
         if alpha <= 0.0:
             raise ParameterError(
                 "y0 = 0 requires alpha > 0 (g*y^alpha must vanish at 0)")
         return ClosedFormSolution(
             EquationClass.BERNOULLI,
-            lambda xs: np.zeros(xs.shape), x0, {"C": 0.0},
+            lambda xs: np.zeros(xs.shape), ic.x0, {"C": 0.0},
             "zero particular solution of the bernoulli equation",
             non_unique=(0.0 < alpha < 1.0))
-
-    om, C, s_y, s_b = _bernoulli_branch(alpha, ic)
-    expo = 1.0 / om
-    F = Antiderivative(f, x0, cfg)
-    W = weighted_cumulative(g, F, om, cfg)
-
-    def evaluate(xs: np.ndarray):
-        Wv = W.values(xs, masked=True)
-        Fv = F.values(xs, masked=True)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            base = s_b * (om * Wv + C)
-            vals = s_y * np.exp(-Fv) * base ** expo
-        return _outcome(xs, vals, ((np.isnan(Wv), W._error_at),
-                                   (base <= 0.0, _BASE_ZERO),
-                                   (np.isnan(Fv), F._error_at),
-                                   (-Fv > EXP_MAX, _EXP_OVERFLOW)))
-
-    return ClosedFormSolution(
-        EquationClass.BERNOULLI, evaluate, x0, {"C": C},
-        "power-transform form exp(-F)*((1-alpha)*W + C)^(1/(1-alpha)) "
-        "anchored at x0")
+    om, C, finish = _bernoulli_branch(alpha, ic)
+    return _scaled_form(
+        EquationClass.BERNOULLI, f, g, om, C, ic.x0, cfg, finish,
+        "y = sign(y0)*|exp(-(1-alpha)*F)*((1-alpha)*W + C)|^(1/(1-alpha)), "
+        "W = integral of g*exp((1-alpha)*F), F and W anchored at x0, taken "
+        "through logs")
 
 
 def solve_bernoulli_via_linear(f, g, alpha: float, ic: InitialCondition,
@@ -501,31 +518,20 @@ def solve_bernoulli_via_linear(f, g, alpha: float, ic: InitialCondition,
     """Solve the bernoulli equation through its linear substitute.
 
     u = y^(1-alpha) satisfies u' + (1-alpha) f u = (1-alpha) g; this
-    constructs that linear solution independently and maps it back with
-    y = sign(y0) * |u|^(1/(1-alpha)). Requires y0 != 0. Serves as the
-    second route for the equivalence check in verification.
+    builds that linear solution's scaled form on antiderivatives of its
+    own coefficients and maps it back with y = sign(y0) *
+    |u|^(1/(1-alpha)). Requires y0 != 0. Serves as the second route for
+    the equivalence check in verification.
     """
     _check_alpha(alpha)
     if ic.y0 == 0.0:
         raise ParameterError("the linear substitution needs y0 != 0")
-    om, u0, s_y, s_u = _bernoulli_branch(alpha, ic)
-    expo = 1.0 / om
+    om, u0, finish = _bernoulli_branch(alpha, ic)
     ffn = as_array_fn(f, masked=True)
     gfn = as_array_fn(g, masked=True)
-    u_sol = solve_linear_ivp(lambda t: om * ffn(t), lambda t: om * gfn(t),
-                             InitialCondition(ic.x0, u0), cfg)
-    u_eval = u_sol._masked
-
-    def evaluate(xs: np.ndarray):
-        uv, u_bad, u_cause = u_eval(xs)
-        u = s_u * uv
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals = s_y * u ** expo
-        return _outcome(xs, vals, ((u_bad, lambda x: u_cause()),
-                                   (u <= 0.0, _U_ZERO)))
-
-    return ClosedFormSolution(
-        EquationClass.BERNOULLI, evaluate, ic.x0, {"C": u0},
+    return _scaled_form(
+        EquationClass.BERNOULLI, lambda t: om * ffn(t), lambda t: om * gfn(t),
+        1.0, u0, ic.x0, cfg, finish,
         "bernoulli solved through the linear substitution u = y^(1-alpha)")
 
 
@@ -533,33 +539,25 @@ def solve_exp(f, g, beta: float, ic: InitialCondition,
               cfg: QuadratureConfig | None = None) -> ClosedFormSolution:
     """Solve y' + f e^(beta y) = g with y(x0) = y0, beta != 0.
 
-    The solution is G - log(beta * Wf + C) / beta with G the antiderivative
-    of g anchored at x0, Wf the antiderivative of f * exp(beta G), and
-    C = exp(-beta y0). Validity ends where the log argument reaches zero.
+    The solution is -log(P) / beta with P = exp(-beta G) (beta W + C) of
+    _scaled_form, G the antiderivative of g and W that of f exp(beta G),
+    both anchored at x0, and C = exp(-beta y0), taken through log P.
+    Validity ends where P reaches zero.
     """
     _check_beta(beta)
-    x0, y0 = ic.x0, ic.y0
-    z0 = -beta * y0
+    z0 = -beta * ic.y0
     if z0 > EXP_MAX:
         raise ParameterError(
             "exp(-beta*y0) overflows; the initial condition is out of range")
     C = math.exp(z0)
-    G = Antiderivative(g, x0, cfg)
-    Wf = weighted_cumulative(f, G, beta, cfg)
 
-    def evaluate(xs: np.ndarray):
-        Wv = Wf.values(xs, masked=True)
-        Gv = G.values(xs, masked=True)
-        la = beta * Wv + C
-        with np.errstate(invalid="ignore", divide="ignore"):
-            vals = Gv - np.log(la) / beta
-        return _outcome(xs, vals, ((np.isnan(Wv), Wf._error_at),
-                                   (la <= 0.0, _LOG_ZERO),
-                                   (np.isnan(Gv), G._error_at)))
+    def finish(q, shift):
+        return -(shift + np.log(q)) / beta, ((~(q > 0.0), _LOG_ZERO),)
 
-    return ClosedFormSolution(
-        EquationClass.EXP, evaluate, x0, {"C": C},
-        "exponential-class form G - log(beta*Wf + C)/beta anchored at x0")
+    return _scaled_form(
+        EquationClass.EXP, g, f, beta, C, ic.x0, cfg, finish,
+        "y = G - log(beta*W + C)/beta, W = integral of f*exp(beta*G), G "
+        "and W anchored at x0, taken through logs")
 
 
 def _classify_roots(b: float, c: float):

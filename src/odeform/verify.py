@@ -64,6 +64,7 @@ _CHECK_TOL = 1e-6
 _RESIDUAL_TOL2 = 1e-5
 _RICCATI_TOL = 1e-4
 _ROUTE_TOL = 1e-8
+_STEP_BUDGET = 50_000    # step attempts per oracle run before it gives up
 
 # Dormand-Prince 5(4) tableau; the propagated solution is 5th order and the
 # last stage is the derivative at the step end (reused as the next first
@@ -225,7 +226,9 @@ def _march(coefs, rhs, x0, y0, k0, grid, cols, out, tol, counters):
     clipped, to end on the last target. Grid values come from the
     continuous extension of the step that covers them. Returns None, or
     where |y| blew up or the step shrank away because stage evaluation kept
-    failing.
+    failing. Raises InconclusiveError once the attempts counted in
+    ``counters`` reach _STEP_BUDGET, as on a stiff problem, whose explicit
+    steps stability keeps tiny.
     """
     targets = grid[cols]
     end = float(targets[-1])
@@ -239,6 +242,10 @@ def _march(coefs, rhs, x0, y0, k0, grid, cols, out, tol, counters):
     done = 0
     x, y, k1 = x0, y0, k0
     while x != end:
+        if counters["taken"] + counters["rejected"] >= _STEP_BUDGET:
+            raise InconclusiveError(
+                f"oracle stopped at x={x!r} after its budget of "
+                f"{_STEP_BUDGET} step attempts; the problem may be stiff")
         last = abs(h) >= abs(end - x)
         if last:
             h = end - x
@@ -300,7 +307,8 @@ def rk_reference(spec: EquationSpec, ic: InitialCondition,
     the step counts do not depend on ``grid_size``. If |y| exceeds 1e12, or
     coefficient evaluation keeps failing while the step shrinks away, the
     trajectory is truncated there and flagged, keeping the grid points
-    reached before; failure at x0 itself raises.
+    reached before; failure at x0 itself raises, and so does a run past
+    _STEP_BUDGET (50,000) step attempts, with InconclusiveError.
     """
     lo, hi = _range(xrange, ic.x0)
     if not (0 < tol < 1):

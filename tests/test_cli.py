@@ -517,9 +517,8 @@ def test_power_overflow_names_the_initial_point(x0):
 
 @pytest.mark.parametrize("g, exact, reach", [
     ("0", lambda x: math.exp(-x), math.inf),
-    # Past x = 708.4 g = e^(-x) is subnormal and carries fewer bits, so W's
-    # integrand, 1 in exact arithmetic, does too; W misses its tolerance
-    # from about 722 on. y is subnormal from 715 on.
+    # Past x = 708.4 g = e^(-x) is subnormal and carries fewer bits, and so
+    # does V's integrand; y is subnormal from 715 on.
     ("exp(-x)", lambda x: (x + 1.0) * math.exp(-x), 715.0),
 ])
 def test_weight_that_offsets_an_overflowing_exponential(g, exact, reach):
@@ -541,9 +540,11 @@ def test_weight_that_offsets_an_overflowing_exponential(g, exact, reach):
 
 
 def test_overflowing_weighted_integrand_ends_validity(tmp_path):
-    # y' + y = e^x, y(0) = 1 is cosh(x). Inside the closed form,
-    # W = integral of e^t * e^t leaves double range at ln(DBL_MAX)/2 while
-    # each factor stays finite. Such nodes once kept their panels splitting
+    # y' + y = e^x, y(0) = 1 is cosh(x). W = integral of e^t * e^t leaves
+    # double range at ln(DBL_MAX)/2 while each factor stays finite; the
+    # closed form carries V = e^(-F) W instead, so validity ends where g = e^x
+    # itself leaves double range, at ln(DBL_MAX). Overflowing integrand
+    # nodes once kept their panels splitting
     # until memory ran out, so the run gets an address-space cap and a
     # timeout: a regression fails here instead of taking the machine down.
     script = (
@@ -565,12 +566,74 @@ def test_overflowing_weighted_integrand_ends_validity(tmp_path):
     assert proc.stderr == ""  # no numpy warning about the overflow
     doc = json.loads(proc.stdout)
     hi = doc["validity"]["hi"]
-    assert 354.0 < hi < 356.0
-    assert abs(hi - math.log(sys.float_info.max) / 2.0) < 0.5
+    assert abs(hi - math.log(sys.float_info.max)) <= 1e-8
     rows = [(row["x"], row["y"]) for row in doc["samples"]]
     assert max(x for x, _ in rows) < hi
     for x, y in rows:
         assert abs(y - math.cosh(x)) <= 1e-8 * math.cosh(x), x
+
+
+@pytest.mark.parametrize("equation, exact, hi", [
+    # y' + y = 1, y' + y = sin(x) and y' + e^y = 1: W = integral of
+    # g e^F leaves double range near x = 710, y does not.
+    (["--class", "linear", "--f", "1", "--g", "1", "--y0", "0"],
+     lambda x: -math.expm1(-x), math.inf),
+    (["--class", "linear", "--f", "1", "--g", "sin(x)", "--y0", "0"],
+     lambda x: (math.sin(x) - math.cos(x) + math.exp(-x)) / 2.0, math.inf),
+    (["--class", "exp", "--f", "1", "--g", "1", "--beta", "1",
+      "--y0", "0.5"],
+     lambda x: -math.log1p(math.expm1(-0.5) * math.exp(-x)), math.inf),
+    # P = y^(1-alpha) or e^(-beta y) itself leaves double range in these
+    # two where y does not: y = y0 - x, and y = e^x up to its own overflow.
+    (["--class", "exp", "--f", "0", "--g=-1", "--beta", "1", "--y0", "0.5"],
+     lambda x: 0.5 - x, math.inf),
+    (["--class", "bernoulli", "--alpha=-1", "--f=-1", "--g", "0",
+      "--y0", "1"],
+     math.exp, math.log(sys.float_info.max)),
+    # Here e^(-z) W leaves double range where W = integral of g e^z, with
+    # z = (1-alpha) F or beta G falling, stays bounded: y = (1 +
+    # 3 e^(2x))^(-1/2), and y = -x - log(e^(-1/2) + 1 - e^(-x)).
+    (["--class", "bernoulli", "--alpha", "3", "--f", "1", "--g", "1",
+      "--y0", "0.5"],
+     lambda x: math.exp(-x) / math.sqrt(3.0 + math.exp(-2.0 * x)),
+     math.inf),
+    (["--class", "exp", "--f", "1", "--g=-1", "--beta", "1", "--y0", "0.5"],
+     lambda x: -x - math.log(math.exp(-0.5) + 1.0 - math.exp(-x)), math.inf),
+])
+def test_first_order_validity_ends_with_the_solution(equation, exact, hi):
+    code, out, err = invoke(["solve"] + equation + [
+        "--x0", "0", "--range", "0:800", "--samples", "9"])
+    assert code == 0 and err == ""
+    line = next(ln for ln in out.splitlines()
+                if ln.startswith("# validity: "))
+    lo, got = (float(v) for v in line[len("# validity: "):].split(":"))
+    assert lo == -math.inf
+    assert got == hi if hi == math.inf else abs(got - hi) <= 1e-8
+    for x, y in csv_rows(out):
+        assert abs(y - exact(x)) <= 1e-10 * (1.0 + abs(exact(x))), x
+
+
+def test_stiff_verify_ends_on_the_oracle_step_budget(tmp_path):
+    # y'' + 1e6 y' + y = 0 on 0:1e6: stability holds explicit Runge-Kutta
+    # steps near 3e-6, so the oracle would take about 3e11 of them. Its step
+    # budget ends the stage with exit 2 instead; the timeout turns a
+    # regression into a failure rather than a hang.
+    argv = ["verify", "--class", "second-order", "--b", "1e6", "--c", "1",
+            "--x0", "0", "--y0", "1", "--yp0", "0", "--range", "0:1e6",
+            "--samples", "3"]
+    package_root = str(Path(odeform.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from odeform.cli import main; sys.exit(main())"]
+        + argv, capture_output=True, text=True, timeout=30, cwd=tmp_path,
+        env=env)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: stage 'oracle comparison' failed")
+    assert "budget of 50000 step attempts" in proc.stderr
 
 
 _SECOND_ORDER_IVP = ["--class", "second-order", "--x0", "0", "--y0", "1",

@@ -231,16 +231,11 @@ def test_exp_parameter_validation():
     ("sqrt(1-x)", "sqrt(1-x)", "square root of a negative argument"),
     ("1/(x-1)", "0", "did not converge"),
     ("1", "sqrt(1-x)", "square root of a negative argument"),
-    # ln(DBL_MAX)/2: g = e^(a x) and e^F = e^(a x) stay finite at x = 1,
-    # and their product leaves double range there.
-    ("354.891356446692", "exp(354.891356446692*x)",
-     "g * exp(scale * F) overflows"),
 ])
 def test_quadrature_failure_boundaries_are_located(f, g, cause):
-    # A coefficient outside its domain, an antiderivative that diverges, a
-    # weight g outside its domain inside W, and a product g * e^F outside
-    # double range all end the validity interval at x = 1; the note names
-    # the cause.
+    # A coefficient outside its domain, an antiderivative that diverges and
+    # a weight g outside its domain inside V all end the validity interval
+    # at x = 1; the note names the cause.
     sol = solve_linear_ivp(parse(f), parse(g), ic(0.0, 1.0))
     sol.ensure_validity(-1.0, 2.0)
     assert abs(sol.validity.hi - 1.0) <= 1e-8
@@ -248,6 +243,20 @@ def test_quadrature_failure_boundaries_are_located(f, g, cause):
     assert cause in sol.limit_note
     xs = np.linspace(-1.0, sol.validity.hi - 1e-6, 9)
     assert np.all(np.isfinite(sol.values(xs)))
+
+
+def test_weight_past_half_the_double_range_keeps_validity():
+    # a = ln(DBL_MAX)/2: g = e^(a x) and e^F = e^(a x) are finite at x = 1,
+    # and their product W's integrand is not. y = e^(a x)/(2a) + (1 -
+    # 1/(2a)) e^(-a x) is finite up to x = 2, where g itself overflows.
+    a = 354.891356446692
+    sol = solve_linear_ivp(parse(repr(a)), parse(f"exp({a!r}*x)"),
+                           ic(0.0, 1.0))
+    sol.ensure_validity(-1.0, 2.0)
+    assert sol.validity.lo == -math.inf and sol.validity.hi >= 2.0
+    xs = np.linspace(-1.0, 1.99, 34)
+    exact = np.exp(a * xs) / (2.0 * a) + (1.0 - 0.5 / a) * np.exp(-a * xs)
+    assert np.all(np.abs(sol.values(xs) - exact) <= 1e-10 * exact)
 
 
 def test_singular_coefficient_validity_is_found_cheaply():
@@ -294,13 +303,15 @@ def test_kink_in_g_is_resolved_to_tolerance():
 @pytest.mark.parametrize("spacing", [1.0 / 128.0, 400.0 / 256.0,
                                      800.0 / 256.0])
 def test_weighted_overflow_is_located_at_any_spacing(spacing):
-    # y' + y = e^x: W's integrand e^(2t) leaves double range at
-    # ln(DBL_MAX)/2, where validity ends whatever the cell width.
+    # y' + y = e^x, y(0) = 1 is cosh(x). W's integrand e^(2t) leaves double
+    # range at ln(DBL_MAX)/2, but V's does not: validity ends where g = e^x
+    # itself does, at ln(DBL_MAX), whatever the cell width. (cosh(x) is
+    # finite up to ln(2 DBL_MAX), past the end of g.)
     cfg = QuadratureConfig(checkpoint_spacing=spacing)
     sol = solve_linear_ivp(parse("1"), parse("exp(x)"), ic(0.0, 1.0), cfg)
-    sol.ensure_validity(0.0, 400.0)
-    assert abs(sol.validity.hi - math.log(sys.float_info.max) / 2.0) <= 1e-8
-    assert "overflows" in sol.limit_note
+    sol.ensure_validity(0.0, 800.0)
+    assert abs(sol.validity.hi - math.log(sys.float_info.max)) <= 1e-8
+    assert "overflow" in sol.limit_note
 
 
 def test_overflowing_quadrature_sums_raise_no_numpy_warning():
@@ -312,14 +323,15 @@ def test_overflowing_quadrature_sums_raise_no_numpy_warning():
         xs, ys = sol.sample(0.0, 40.0, 3)
     assert 26.0 < sol.validity.hi < 27.0
     assert np.all(np.isfinite(ys))
-    # y = cosh(x): with the spacing of a 0:400 range a checkpoint segment of
-    # W fails first, and the NaN test on the table must not overflow.
-    cfg = QuadratureConfig(checkpoint_spacing=400.0 / 256.0)
+    # y = cosh(x): with the spacing of a 0:800 range a checkpoint segment of
+    # V fails where g = e^x overflows, and the NaN test on the table must
+    # not overflow.
+    cfg = QuadratureConfig(checkpoint_spacing=800.0 / 256.0)
     sol = solve_linear_ivp(parse("1"), parse("exp(x)"), ic(0.0, 1.0), cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        xs, ys = sol.sample(0.0, 400.0, 9)
-    assert 354.0 < sol.validity.hi < 356.0
+        xs, ys = sol.sample(0.0, 800.0, 9)
+    assert abs(sol.validity.hi - math.log(sys.float_info.max)) <= 1e-8
     assert np.all(np.isfinite(ys))
 
 
