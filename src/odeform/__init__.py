@@ -21,8 +21,7 @@ from .errors import (ConvergenceError, EvalDomainError, EvalError,
                      ParameterError, StageError)
 from .expr import Expression, parse
 from .quad import (Antiderivative, QuadratureConfig, antiderivative,
-                   as_array_fn, integrate, integrate_many,
-                   weighted_cumulative)
+                   as_array_fn, integrate, integrate_many)
 from .solvers import (ClosedFormSolution, EquationClass, EquationSpec,
                       InitialCondition, Interval, construct, signed_power,
                       solve_bernoulli, solve_bernoulli_via_linear, solve_exp,
@@ -42,7 +41,7 @@ __all__ = [
     "StageError",
     "Expression", "parse",
     "QuadratureConfig", "integrate", "integrate_many", "Antiderivative",
-    "antiderivative", "weighted_cumulative", "as_array_fn",
+    "antiderivative", "as_array_fn",
     "EquationClass", "EquationSpec", "InitialCondition", "Interval",
     "ClosedFormSolution", "construct", "signed_power",
     "solve_linear_ivp", "solve_linear_general", "solve_bernoulli",

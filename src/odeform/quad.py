@@ -22,12 +22,12 @@ cannot change results, and a table abscissa reads its table value exactly
 however large |x0| is. The table grows under an internal lock; concurrent
 queries from multiple threads are safe.
 
-The weighted antiderivative W = integral of g exp(scale * F) is kept on
-the same kind of cells in a scaled form, V = exp(-max(scale * F, 0)) W,
-whose table follows a recurrence from cell to cell instead of a running
-sum (_Scaled, Antiderivative._grow): W leaves double range where the
-closed forms built on it need not. weighted_cumulative() reads W back
-from V.
+The weighted antiderivative W = integral of g exp(s F) is kept on the
+same kind of cells in a scaled form, V = exp(-max(s F, 0)) W, whose table
+follows a recurrence from cell to cell instead of a running sum (_Scaled,
+Antiderivative._grow): W leaves double range where the closed forms built
+on it need not. _Scaled builds its own F and is the one reader of V: its
+read() returns z = s F, lam = max(z, 0) and V together.
 
 Integrands only need to be Riemann integrable on bounded intervals; strict
 accuracy claims hold for piecewise-smooth ones. Parts that shrink to the
@@ -70,7 +70,6 @@ __all__ = [
     "integrate_many",
     "Antiderivative",
     "antiderivative",
-    "weighted_cumulative",
     "as_array_fn",
 ]
 
@@ -231,18 +230,19 @@ def _clenshaw(coef, idx, t):
 def _cells(fn, a, b, share, rel_tol, chain):
     """Chebyshev cells from a[i] to b[i], all of one orientation.
 
-    ``fn`` is a masked integrand. A cell is accepted where its last three
-    coefficients, times its width, fit its tolerance max(share, rel_tol *
-    |cell integral|) in proportion to its width, or are down to what
-    rounding its samples and their positions puts in them. Otherwise it is
-    bisected, up to _MAX_DEPTH times; a part at the floating-point width
-    limit, at the depth cap or over _PANEL_BUDGET stops splitting, and its
-    error counts against its cell. A cell fails when its error exceeds its
-    tolerance or one of its samples is not finite. On its own, a cell with
-    such a sample is dropped at once. In a ``chain``, cells run outward
-    from a[0], each from the end of the one before: there a cell is
-    bisected toward its first such sample going outward, and every part
-    beyond that sample, in that cell or a later one, is dropped.
+    ``fn(x, cell)`` is a masked integrand, given each sample's cell index.
+    A cell is accepted where its last three coefficients, times its width,
+    fit its tolerance max(share, rel_tol * |cell integral|) in proportion
+    to its width, or are down to what rounding its samples and their
+    positions puts in them. Otherwise it is bisected, up to _MAX_DEPTH
+    times; a part at the floating-point width limit, at the depth cap or
+    over _PANEL_BUDGET stops splitting, and its error counts against its
+    cell. A cell fails when its error exceeds its tolerance or one of its
+    samples is not finite. On its own, a cell with such a sample is dropped
+    at once. In a ``chain``, cells run outward from a[0], each from the end
+    of the one before: there a cell is bisected toward its first such
+    sample going outward, and every part beyond that sample, in that cell
+    or a later one, is dropped.
 
     Returns (total, etotal, node, missed, parts). Per cell: the signed
     integral and the error of its kept parts, its first non-finite sample
@@ -264,7 +264,7 @@ def _cells(fn, a, b, share, rel_tol, chain):
     while cid.size:
         half = 0.5 * (pb - pa)
         pts = (0.5 * pa + 0.5 * pb)[:, None] + half[:, None] * _TAU
-        vals = fn(pts.ravel()).reshape(pts.shape)
+        vals = fn(pts.ravel(), np.repeat(cid, _DEG + 1)).reshape(pts.shape)
         finite = np.isfinite(vals)
         bad = ~finite.all(axis=1)
         if bad.any():
@@ -380,8 +380,9 @@ def integrate_many(fn, a, b, cfg: QuadratureConfig | None = None, *,
     node, failed = np.full(a.size, np.nan), np.zeros(a.size, bool)
     iv = np.flatnonzero(a != b)
     if iv.size:
+        f = as_array_fn(fn, masked=True)
         est[iv], err[iv], node[iv], failed[iv], _ = _cells(
-            as_array_fn(fn, masked=True), np.minimum(a[iv], b[iv]),
+            lambda xs, _: f(xs), np.minimum(a[iv], b[iv]),
             np.maximum(a[iv], b[iv]), cfg.abs_tol, cfg.rel_tol, False)
         failed |= ~np.isnan(node)
     est *= np.where(b >= a, 1.0, -1.0)
@@ -497,40 +498,39 @@ class Antiderivative:
         xs = self._x0 + np.arange(1 - down, up) * self._h
         return list(zip(xs.tolist(), self.values(xs, masked=True).tolist()))
 
-    def _lam(self, xs):
-        """The exponent lam >= 0 at the points xs: the value there is kept
-        and read scaled by exp(-lam) (see _Scaled); None, for 0, in a plain
-        antiderivative."""
-        return None
+    def _exponents(self, xs):
+        """(z, lam) at the points xs, lam = max(z, 0) >= 0: the value there
+        is kept and read scaled by exp(-lam) (see _Scaled). Both are None,
+        for 0, in a plain antiderivative, whose reads skip the scaling."""
+        return None, None
+
+    def _integrand(self, xs, top):
+        """The integrand at the points xs, scaled by exp(-top); top is 0
+        in a plain antiderivative."""
+        return self._masked(xs)
 
     def _grow(self, side: _Side, n: int):
         """Build the cells of ``side`` out to n of them (requires the lock).
 
-        With lam = max(z, 0), cell k from a to b integrates the integrand
-        scaled by exp(-top_k), top_k the larger of lam(a) and lam(b), or the
-        one that is not NaN; the table follows value(b) = exp(top_k -
-        lam(b)) * (exp(lam(a) - top_k) * value(a) + that integral), a plain
-        running sum where z is 0.
+        Cell k from a to b integrates _integrand scaled by exp(-top_k),
+        top_k the larger of lam(a) and lam(b), or the one that is not NaN;
+        the table follows value(b) = exp(top_k - lam(b)) * (exp(lam(a) -
+        top_k) * value(a) + that integral), a plain running sum where lam
+        is 0.
         """
         cfg, sgn = self._cfg, side.sign
         ends = self._x0 + sgn * np.arange(side.tab.size - 1, n + 1) * self._h
-        lam = self._lam(ends)
-        scaled = lam is not None
-        lam = lam if scaled else np.zeros(ends.size)
+        _, lam = self._exponents(ends)
+        if lam is None:
+            lam = np.zeros(ends.size)
         top = np.fmax(lam[:-1], lam[1:])
 
         # A closure over self that lives only for this call: one kept on
         # self would make every antiderivative wait for the cyclic garbage
         # collector, cells and all.
-        def counted(xs: np.ndarray) -> np.ndarray:
+        def counted(xs: np.ndarray, cell: np.ndarray) -> np.ndarray:
             self.eval_count += xs.size
-            if not scaled:
-                return self._masked(xs)
-            # _cells samples a part's 17 nodes in a row; the middle one
-            # lies strictly inside the part, so inside its cell.
-            mid = xs[_DEG // 2::_DEG + 1]
-            cell = np.searchsorted(sgn * ends, sgn * mid) - 1
-            return self._integrand(xs, np.repeat(top[cell], _DEG + 1))
+            return self._integrand(xs, top[cell])
 
         total, etotal, node, missed, parts = _cells(
             counted, ends[:-1], ends[1:], cfg.abs_tol / 256.0, cfg.rel_tol,
@@ -582,11 +582,11 @@ class Antiderivative:
         ``masked`` such points read NaN instead.
         """
         xs = _points(xs)
-        out = self._read(xs, self._lam(xs))
+        out = self._read(xs, self._exponents(xs)[1])
         if not masked:
             bad = ~np.isfinite(out)
             if bad.any():
-                raise self._error_at(float(xs[int(np.argmax(bad))]))
+                raise self.error_at(float(xs[int(np.argmax(bad))]))
         return out
 
     def _read(self, xs, lam):
@@ -628,7 +628,7 @@ class Antiderivative:
                                      lam if lam is None else lam[sel])
         return out
 
-    def _error_at(self, x: float) -> EvalError:
+    def error_at(self, x: float) -> EvalError:
         """The typed error of F at a point x where it is not finite: that of
         the cell that failed between x0 and x, else an overflow of the
         running sum."""
@@ -657,59 +657,43 @@ def antiderivative(fn, x0: float,
 
 
 class _Scaled(Antiderivative):
-    """V(x) = exp(-max(z(x), 0)) * W(x) for W(x) = integral of g(t)
-    exp(z(t)) from x0 to x, z = scale * F for an Antiderivative F, anchored
-    where F is: V = exp(-z) W where z > 0, and V = W elsewhere.
+    """V(x) = exp(-max(z(x), 0)) * W(x) for W(x) = integral of weight(t)
+    exp(z(t)) from x0 to x and z = s * F, F the antiderivative of ``rate``
+    from x0, which _Scaled builds itself: V = exp(-z) W where z > 0, and
+    V = W elsewhere. read() returns z, lam = max(z, 0) and V at a batch of
+    points from one read of F.
 
     V is built on its own cells as _grow describes: every exponential it
     takes is bounded by how far z moves inside one cell, and its integrand
-    g(t) exp(z(t) - top) is no larger than g where z is monotone in the
-    cell. So V needs no exp(z) in double range: where z < 0 it is W, which
-    grows at most like the integral of |g|, and where z > 0 it is exp(-z)
-    W, which the first-order closed forms scale y by. Where F fails, V
-    fails with F's error.
+    weight(t) exp(z(t) - top) is no larger than the weight where z is
+    monotone in the cell. So V needs no exp(z) in double range: where z < 0
+    it is W, which grows at most like the integral of |weight|, and where
+    z > 0 it is exp(-z) W, which the first-order closed forms scale y by.
+    Where F fails, V fails with F's error.
     """
 
-    def __init__(self, g, F, scale, cfg=None):
-        super().__init__(g, F.x0, cfg)
-        self._F, self._scale = F, scale
+    def __init__(self, rate, weight, s, x0, cfg=None):
+        self._F, self._s = Antiderivative(rate, x0, cfg), s
+        super().__init__(weight, x0, cfg)
 
-    def _z(self, xs):
-        F = self._F.values(xs, masked=True)
+    def _exponents(self, xs):
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._scale * F
-
-    def _lam(self, xs):
-        return np.maximum(self._z(xs), 0.0)
+            z = self._s * self._F.values(xs, masked=True)
+        return z, np.maximum(z, 0.0)
 
     def _integrand(self, xs, top):
-        """The integrand at the points xs, scaled by exp(-top)."""
-        z = self._z(xs)
+        z, _ = self._exponents(xs)
         with np.errstate(over="ignore", invalid="ignore"):
             return self._masked(xs) * np.exp(z - top)
 
-    def _error_at(self, x):
-        if math.isnan(self._z(np.array([x]))[0]):
-            return self._F._error_at(x)
-        return super()._error_at(x)
+    def read(self, xs):
+        """(z, lam, V) at the 1-D array of points xs; V is NaN where it
+        fails, and error_at names why."""
+        z, lam = self._exponents(xs)
+        return z, lam, self._read(xs, lam)
 
-
-class _Weighted(_Scaled):
-    """W = exp(max(z, 0)) * V, read from V's cells."""
-
-    def _read(self, xs, lam):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.exp(lam) * super()._read(xs, lam)
-
-
-def weighted_cumulative(g, F: Antiderivative, scale: float,
-                        cfg: QuadratureConfig | None = None) -> Antiderivative:
-    """Antiderivative of t -> g(t) * exp(scale * F(t)), anchored where F is.
-
-    It is read from the scaled form of _Scaled, so it leaves double range
-    only where it does itself; the raising forms then raise
-    EvalOverflowError at the point read.
-    """
-    if not isinstance(F, Antiderivative):
-        raise ParameterError("F must be an Antiderivative")
-    return _Weighted(g, F, scale, cfg)
+    def error_at(self, x):
+        z, _ = self._exponents(np.array([x]))
+        if math.isnan(z[0]):
+            return self._F.error_at(x)
+        return super().error_at(x)

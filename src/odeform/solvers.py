@@ -45,7 +45,7 @@ import numpy as np
 from .errors import (EvalDomainError, EvalOverflowError, NoOverlapError,
                      OutsideValidityError, ParameterError)
 from .expr import EXP_MAX, _points, is_integer_valued, pow_scalar
-from .quad import Antiderivative, QuadratureConfig, _Scaled, as_array_fn
+from .quad import QuadratureConfig, _Scaled, as_array_fn
 
 __all__ = [
     "EquationClass",
@@ -65,7 +65,6 @@ __all__ = [
 ]
 
 _BOUNDARY_WIDTH = 1e-10   # sectioning stops once the bracket is this narrow
-_IC_RTOL = 1e-12          # initial-condition exactness target
 _PROBES = 257             # validity probe points per freshly explored window
 _SECTIONS = 32            # sections per round of the boundary search
 
@@ -412,27 +411,25 @@ def _scaled_form(kind, rate, weight, s, C, x0, cfg, finish, provenance):
     the solution of the linear equation u' + s rate u = s weight with
     u(x0) = C that each class reduces to.
 
-    F is the antiderivative of ``rate`` anchored at x0, z = s F, and V the
-    scaled antiderivative exp(-max(z, 0)) W of W = integral of weight *
-    exp(z) from x0 (quad._Scaled). The integrating-factor form
-    P = exp(-z) (s W + C) is exp(max(z, 0) - z) q with q = s V +
-    C exp(-max(z, 0)), which stays in double range where P need not; where
-    s V is 0, q = C and shift = -z instead, as exp(-max(z, 0)) can
+    quad._Scaled reads, at once, z = s F for F the antiderivative of
+    ``rate`` anchored at x0, lam = max(z, 0) and the scaled antiderivative
+    V = exp(-lam) W of W = integral of weight * exp(z) from x0. The
+    integrating-factor form P = exp(-z) (s W + C) is exp(lam - z) q with
+    q = s V + C exp(-lam), which stays in double range where P need not;
+    where s V is 0, q = C and shift = -z instead, as exp(-lam) can
     underflow there. ``finish`` returns the values and the (mask, error)
     checks of the class's own failures.
     """
-    V = _Scaled(weight, Antiderivative(rate, x0, cfg), s, cfg)
+    V = _Scaled(rate, weight, s, x0, cfg)
 
     def evaluate(xs):
-        z = V._z(xs)
-        lam = np.maximum(z, 0.0)
-        Vv = V._read(xs, lam)
+        z, lam, Vv = V.read(xs)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             a = s * Vv
             zero = a == 0.0
             vals, checks = finish(np.where(zero, C, a + C * np.exp(-lam)),
                                   np.where(zero, -z, lam - z))
-        return _outcome(xs, vals, ((~np.isfinite(Vv), V._error_at), *checks))
+        return _outcome(xs, vals, ((~np.isfinite(Vv), V.error_at), *checks))
 
     return ClosedFormSolution(kind, evaluate, x0, {"C": C}, provenance)
 

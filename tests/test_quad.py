@@ -22,7 +22,6 @@ from odeform import (
     integrate_many,
     parse,
     quad,
-    weighted_cumulative,
 )
 
 
@@ -164,8 +163,9 @@ def test_failed_segment_names_its_ordered_interval_on_either_side():
         # The same error as the cell built outward on its own.
         inner, outer = (a, b) if x0 < 0.0 else (b, a)
         cfg = QuadratureConfig()
+        masked = quad.as_array_fn(fn, masked=True)
         total, etotal, _, missed, _ = quad._cells(
-            quad.as_array_fn(fn, masked=True), np.array([inner]),
+            lambda xs, _: masked(xs), np.array([inner]),
             np.array([outer]), cfg.abs_tol / 256.0, cfg.rel_tol, True)
         assert missed[0], x0
         assert info.value.estimate == math.copysign(1.0, outer - inner) \
@@ -305,8 +305,8 @@ def test_checkpoints_are_running_sums_of_single_cells():
             ends = x0 + np.array([k, k + step]) * h
             cfg = QuadratureConfig()
             total, _, node, missed, _ = quad._cells(
-                masked, ends[:1], ends[1:], cfg.abs_tol / 256.0, cfg.rel_tol,
-                True)
+                lambda xs, _: masked(xs), ends[:1], ends[1:],
+                cfg.abs_tol / 256.0, cfg.rel_tol, True)
             assert not missed[0] and math.isnan(node[0])
             acc += float(total[0])
             expected[k + step] = acc
@@ -436,50 +436,60 @@ def test_query_span_guard():
 
 
 # ---------------------------------------------------------------------------
-# Weighted cumulative integrals
+# Weighted cumulative integrals W = integral of g exp(s F), read back from
+# the scaled form of quad._Scaled as W = exp(lam) V
+
+
+def weighted(rate, g, s, x0, xs):
+    """W at the points xs, with F the antiderivative of ``rate`` from x0."""
+    _, lam, V = quad._Scaled(parse(rate), parse(g), s, x0).read(
+        np.asarray(xs, dtype=np.float64))
+    with np.errstate(over="ignore"):
+        return np.exp(lam) * V
 
 
 def test_weighted_cumulative_examples():
     # g = 1, F(t) = t, scale = 1:  W(x) = e^x - 1.
-    F = antiderivative(parse("1"), 0.0)
-    W = weighted_cumulative(parse("1"), F, 1.0)
-    assert abs(W.value(1.0) - (math.e - 1)) <= 1e-9
+    assert abs(weighted("1", "1", 1.0, 0.0, [1.0])[0] - (math.e - 1)) <= 1e-9
 
     # g = 0 gives the zero function without error.
-    W0 = weighted_cumulative(parse("0"), F, 1.0)
-    assert W0.value(2.0) == 0.0
+    assert weighted("1", "0", 1.0, 0.0, [2.0])[0] == 0.0
 
     # g = 1, F(t) = -t, scale = 1:  W(x) = 1 - e^{-x}.
-    Fm = antiderivative(parse("-1"), 0.0)
-    Wm = weighted_cumulative(parse("1"), Fm, 1.0)
-    assert abs(Wm.value(1.0) - (1 - math.exp(-1.0))) <= 1e-9
+    Wm = weighted("-1", "1", 1.0, 0.0, [1.0])[0]
+    assert abs(Wm - (1 - math.exp(-1.0))) <= 1e-9
 
 
 def test_weighted_cumulative_composition():
     # g = cos, F(t) = t, scale = 1: W(x) = (e^x (sin x + cos x) - 1) / 2.
-    F = antiderivative(parse("1"), 0.0)
-    W = weighted_cumulative(parse("cos(x)"), F, 1.0)
-    for x in (0.5, 1.5, -0.75):
-        exact = (math.exp(x) * (math.sin(x) + math.cos(x)) - 1.0) / 2.0
-        assert abs(W.value(x) - exact) <= 1e-9
+    xs = np.array([0.5, 1.5, -0.75])
+    exact = (np.exp(xs) * (np.sin(xs) + np.cos(xs)) - 1.0) / 2.0
+    assert np.all(np.abs(weighted("1", "cos(x)", 1.0, 0.0, xs) - exact)
+                  <= 1e-9)
 
 
 def test_weighted_cumulative_takes_its_anchor_from_F():
-    F = antiderivative(parse("1"), 0.5)  # F(t) = t - 0.5
-    W = weighted_cumulative(parse("1"), F, 1.0)
-    assert W.x0 == 0.5 and W.value(0.5) == 0.0
-    assert abs(W.value(1.5) - (math.e - 1)) <= 1e-9
-    with pytest.raises(ParameterError):
-        weighted_cumulative(parse("1"), "not an antiderivative", 1.0)
+    S = quad._Scaled(parse("1"), parse("1"), 1.0, 0.5)  # F(t) = t - 0.5
+    z, lam, V = S.read(np.array([0.5, 1.5]))
+    assert S.x0 == 0.5 and z[0] == 0.0 and V[0] == 0.0
+    assert abs(z[1] - 1.0) <= 1e-12
+    assert abs(math.exp(lam[1]) * V[1] - (math.e - 1)) <= 1e-9
 
 
 def test_weighted_cumulative_overflow_reports_location():
-    F = antiderivative(parse("1"), 0.0)  # F(t) = t
-    W = weighted_cumulative(parse("1"), F, 1000.0)
-    with pytest.raises(EvalOverflowError) as info:
-        W.value(1.0)
-    # exp(1000 t) overflows once t exceeds ~0.7098.
-    assert 0.70 <= info.value.x <= 1.0
+    # F(t) = t, scale = 1000: W(x) = expm1(1000 x) / 1000, read as
+    # exp(1000 x) V, leaves double range once x exceeds ~0.7098, while
+    # V = exp(-1000 x) W stays below 1/1000.
+    xs = np.linspace(0.0, 1.0, 1001)
+    _, _, V = quad._Scaled(parse("1"), parse("1"), 1000.0, 0.0).read(xs)
+    assert np.all(np.isfinite(V))
+    W = weighted("1", "1", 1000.0, 0.0, xs)
+    bad = ~np.isfinite(W)
+    first = int(np.argmax(bad))
+    assert bad.any() and bad[first:].all()
+    assert 0.70 <= xs[first] <= 1.0
+    exact = np.expm1(1000.0 * xs[:first]) / 1000.0
+    assert np.all(np.abs(W[:first] - exact) <= 1e-8 * exact)
 
 
 def test_antiderivative_outside_double_range_raises():
@@ -500,8 +510,11 @@ def test_integral_outside_double_range_raises():
 
 
 def test_weighted_node_error_names_the_failure_of_F():
-    W = weighted_cumulative(parse("1"), antiderivative(parse("sqrt(1-x)"),
-                                                       0.0), 1.0)
-    with pytest.raises(EvalDomainError, match="square root") as info:
-        W.value(1.5)
-    assert 1.0 < info.value.x < 1.5
+    S = quad._Scaled(parse("sqrt(1-x)"), parse("1"), 1.0, 0.0)
+    _, _, V = S.read(np.array([1.5]))
+    assert math.isnan(V[0])
+    err = S.error_at(1.5)
+    assert isinstance(err, EvalDomainError) and "square root" in str(err)
+    assert 1.0 < err.x < 1.5
+    with pytest.raises(EvalDomainError, match="square root"):
+        S.value(1.5)
