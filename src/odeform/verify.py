@@ -550,7 +550,8 @@ def full_verify(spec: EquationSpec, ic: InitialCondition,
                 perturb: float = 0.0) -> VerificationReport:
     """Construct the closed form and run every applicable check.
 
-    The range is clipped to the discovered validity interval (noted in the
+    The range is clipped to the discovered validity interval, and away
+    from a range end other than x0 where f or g is not finite (noted in the
     report). ``perturb`` offsets the constructed solution by a finite
     constant before checking -- a diagnostic knob demonstrating that
     defects of that size are caught. Stage failures raise StageError
@@ -576,11 +577,20 @@ def full_verify(spec: EquationSpec, ic: InitialCondition,
         sol.ensure_validity(lo - reach, hi + reach)
         v = sol.validity
         span = hi - lo
-        # Keep 1% of the span away from a validity boundary: solutions are
+        # A coefficient that fails at a range end, but not at x0, ends the
+        # oracle there, though the closed form's cells, which never sample
+        # their ends, reach past it: such an end counts as a boundary.
+        ends = np.array([lo, hi])
+        cut = np.zeros(2, bool)
+        for coef in (spec.f, spec.g):
+            if coef is not None:
+                cut |= ~np.isfinite(as_array_fn(coef, masked=True)(ends))
+        cut &= ends != ic.x0
+        # Keep 1% of the span away from a boundary: solutions are
         # typically singular there and finite differences lose accuracy
         # faster than the term scale grows.
-        clo = lo if v.lo <= lo else max(lo, v.lo + 1e-2 * span)
-        chi = hi if v.hi >= hi else min(hi, v.hi - 1e-2 * span)
+        clo = lo if v.lo <= lo and not cut[0] else max(lo, v.lo) + 1e-2 * span
+        chi = hi if v.hi >= hi and not cut[1] else min(hi, v.hi) - 1e-2 * span
         if not (clo < chi) or not (clo <= ic.x0 <= chi):
             raise NoOverlapError(
                 "the validity interval covers too little of the range")
@@ -588,6 +598,8 @@ def full_verify(spec: EquationSpec, ic: InitialCondition,
     if clo > lo or chi < hi:
         note = (f"range clipped to [{clo!r}, {chi!r}] inside validity "
                 f"({v.lo!r}, {v.hi!r})")
+        if cut.any():
+            note += "; a coefficient is not finite at a range end"
 
     checked = sol.perturbed(perturb) if perturb else sol
     checks = []

@@ -424,6 +424,37 @@ def test_hostile_invocations_end_cleanly(argv, expected):
         assert "\n# truncated_at: " in out
 
 
+@pytest.mark.parametrize("f, g, clipped", [
+    ("log(x)", "1", [0.02, 2.0]),
+    ("1", "log(2-x)", [0.0, 1.98]),
+], ids=["f-fails-at-lo", "g-fails-at-hi"])
+def test_coefficient_failing_at_a_range_end_clips_it(f, g, clipped):
+    """The closed form's cells never sample their ends, so its validity
+    reaches past a coefficient's failure there; the oracle must step onto
+    that end, so the end is clipped as a boundary would be."""
+    code, out, err = invoke(["verify", "--class", "linear", "--f", f, "--g",
+                             g, "--x0", "1", "--y0", "1", "--range", "0:2",
+                             "--format", "json"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["note"].startswith(f"range clipped to {clipped} ")
+    assert doc["note"].endswith("; a coefficient is not finite at a range end")
+    # The report's validity is the solution's own, past the clipped end.
+    v = doc["validity"]
+    assert (v["lo"] is None or v["lo"] < 0.0) and \
+        (v["hi"] is None or v["hi"] > 2.0)
+    assert [c["name"] for c in doc["report"]["checks"]] == [
+        "residual", "oracle"]
+    assert doc["report"]["pass"] is True
+
+
+def test_coefficient_failing_at_x0_still_raises():
+    err = assert_clean_error(
+        ["verify", "--class", "linear", "--f", "log(x)", "--g", "1", "--x0",
+         "0", "--y0", "1", "--range", "0:2"], 2)
+    assert "log of a non-positive argument" in err and "x=0.0" in err
+
+
 def test_unwritable_out_is_a_usage_error(tmp_path):
     target = str(tmp_path / "missing" / "x")
     err = assert_clean_error(INV_SOLVE_LINEAR + ["--out", target], 1)

@@ -381,6 +381,35 @@ def test_bad_flags_do_not_depend_on_the_batch(kind, xs):
         assert isinstance(cause(), OdeformError)
 
 
+PURE_SOLUTIONS = {
+    # x0 inside each window: z = s F is positive on one side of x0 and
+    # negative on the other, so cells scaled by lam = max(z, 0) > 0 and
+    # cells with lam = 0 are both read.
+    "linear": (lambda: solve_linear_ivp(parse("1"), parse("sin(x)"),
+                                        ic(0.5, 1.0)), (-2.0, 3.0)),
+    "bernoulli": (lambda: solve_bernoulli(parse("1"), parse("1"), 2.0,
+                                          ic(0.5, 0.5)), (-2.0, 3.0)),
+    "exp": (lambda: solve_exp(parse("1"), parse("1"), 1.0, ic(0.5, 0.5)),
+            (-0.4, 3.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PURE_SOLUTIONS))
+def test_scaled_values_are_a_pure_function_of_x(kind):
+    """A first-order closed form reads the same bits at a point whatever
+    else is read with it or before it."""
+    make, (lo, hi) = PURE_SOLUTIONS[kind]
+    xs = np.random.default_rng(11).uniform(lo, hi, 400)
+    batch = make().values(xs)
+    assert np.all(np.isfinite(batch))
+    single = make()
+    one_by_one = np.array([single.value(float(x)) for x in xs[::-1]])[::-1]
+    warm = make()
+    warm.values(np.sort(xs))
+    assert np.array_equal(batch, one_by_one)
+    assert np.array_equal(batch, warm.values(xs))
+
+
 # ---------------------------------------------------------------------------
 # Second order, constant coefficients
 
