@@ -26,7 +26,7 @@ from .solvers import (ClosedFormSolution, EquationClass, EquationSpec,
                       InitialCondition, Interval, construct, signed_power,
                       solve_bernoulli, solve_bernoulli_via_linear, solve_exp,
                       solve_linear_general, solve_linear_ivp,
-                      solve_second_order, solve_second_order_ivp)
+                      solve_second_order_ivp)
 from .verify import (CheckResult, OracleSolution, VerificationReport,
                      compare, full_verify, rk_reference, residual_check,
                      riccati_check)
@@ -45,7 +45,7 @@ __all__ = [
     "EquationClass", "EquationSpec", "InitialCondition", "Interval",
     "ClosedFormSolution", "construct", "signed_power",
     "solve_linear_ivp", "solve_linear_general", "solve_bernoulli",
-    "solve_bernoulli_via_linear", "solve_exp", "solve_second_order",
+    "solve_bernoulli_via_linear", "solve_exp",
     "solve_second_order_ivp",
     "CheckResult", "OracleSolution", "VerificationReport", "rk_reference",
     "compare", "residual_check", "riccati_check", "full_verify",

@@ -19,7 +19,9 @@ validity ends where y does, not where P or the weighted antiderivative
 inside it leaves double range. Antiderivatives are anchored at the
 initial point, so the free constant of each family maps directly onto
 the initial value: C = y0 for the linear class, C = y0^(1-alpha) for
-bernoulli, C = e^(-beta y0) for the exponential class.
+bernoulli, C = e^(-beta y0) for the exponential class. The second-order
+solution is one formula in t = x - x0 anchored the same way, so its
+constants are C1 = y0 and C2 = y'(x0).
 
 A ClosedFormSolution evaluates lazily and tracks the maximal interval
 around x0 on which its formula stays defined (power bases positive, log
@@ -60,7 +62,6 @@ __all__ = [
     "solve_bernoulli",
     "solve_bernoulli_via_linear",
     "solve_exp",
-    "solve_second_order",
     "solve_second_order_ivp",
 ]
 
@@ -245,7 +246,8 @@ class ClosedFormSolution:
     ``provenance`` is a one-line description of the instantiated formula.
     ``non_unique`` marks solutions known to share initial data with others
     (the zero bernoulli solution for alpha in (0, 1)). ``case`` names the
-    second-order basis ("real", "repeated" or "complex"), else None.
+    second-order rates by the sign of the discriminant b^2 - 4c ("real",
+    "complex", or "repeated" where it is exactly 0), else None.
     """
 
     def __init__(self, kind: EquationClass, evaluate, x0: float,
@@ -558,111 +560,96 @@ def solve_exp(f, g, beta: float, ic: InitialCondition,
 
 
 def _classify_roots(b: float, c: float):
-    """Case split on the discriminant b^2 - 4c with a scaled threshold;
-    returns (case, r1, r2) as solve_second_order describes them."""
+    """(case, r, q) of y'' + b y' + c y = 0, the case the sign of the
+    discriminant b^2 - 4c: for real rates r is the one of smaller
+    magnitude and q the other, for a repeated rate both are -b/2, and for
+    complex rates r +- i q."""
     # b and c scaled by 2^-e and 2^-2e keep b^2 in range; powers of two
-    # scale exactly, so the split is the unscaled one wherever that fits.
+    # scale exactly, so the sign is the unscaled one wherever that fits.
     e = max(0, math.frexp(max(abs(b), math.sqrt(abs(c))))[1])
     bs, cs = math.ldexp(b, -e), math.ldexp(c, -2 * e)
     disc = bs * bs - 4.0 * cs
-    thresh = 1e-12 * max(math.ldexp(1.0, -2 * e), bs * bs, abs(4.0 * cs))
     r = -0.5 * b + 0.0  # normalize -0.0
-    if abs(disc) <= thresh:
-        return "repeated", r, None
+    if disc == 0.0:
+        return "repeated", r, r
     s = math.ldexp(0.5 * math.sqrt(abs(disc)), e)
     if disc < 0.0:
         return "complex", r, s
     # The rate of larger magnitude adds two terms of one sign; the other is
     # c divided by it (Vieta), not a difference that cancels.
     big = r - math.copysign(s, b)
-    return "real", *sorted((big, c / big + 0.0))
-
-
-def solve_second_order(b: float, c: float, C1: float, C2: float,
-                       x0: float = 0.0) -> ClosedFormSolution:
-    """General solution of y'' + b y' + c y = 0 with explicit constants.
-
-    The basis is written in t = x - x0. Three cases on the discriminant
-    b^2 - 4c (threshold 1e-12 scaled by max(1, b^2, |4c|)):
-
-    * positive: C1 e^(r1 t) + C2 e^(r2 t), r1 < r2 the two real roots
-      (C1 belongs to the smaller root);
-    * zero: (C1 + C2 t) e^(-b t / 2);
-    * negative: e^(-b t / 2) (C1 cos(w t) + C2 sin(w t)),
-      w = sqrt(4c - b^2)/2.
-
-    The discriminant and its threshold are formed from b and c scaled by
-    2^-e and 2^-2e, e the binary exponent of max(|b|, sqrt|c|) where that
-    is positive, so b^2 cannot overflow; the scaling is exact and leaves
-    the threshold as stated. The real rate of larger magnitude is
-    -b/2 - sign(b) sqrt(disc)/2 and the other c divided by it, so neither
-    is computed by a cancelling difference.
-    """
-    for name, v in (("b", b), ("c", c), ("C1", C1), ("C2", C2), ("x0", x0)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
-            raise ParameterError(f"{name} must be a finite number")
-    case, r1, r2 = _classify_roots(b, c)
-    x0 = float(x0)
-
-    def exp_term(coef: float, rate: float, ts: np.ndarray):
-        """coef * e^(rate t), and where the exponential overflows."""
-        if coef == 0.0:
-            return np.zeros(ts.shape), np.zeros(ts.shape, bool)
-        z = rate * ts
-        return coef * np.exp(z), z > EXP_MAX
-
-    def evaluate(xs: np.ndarray):
-        ts = xs - x0
-        with np.errstate(over="ignore", invalid="ignore"):
-            if case == "real":
-                y1, over1 = exp_term(C1, r1, ts)
-                y2, over2 = exp_term(C2, r2, ts)
-                vals, over = y1 + y2, over1 | over2
-            else:
-                e, over = exp_term(1.0, r1, ts)
-                if case == "repeated":
-                    vals = (C1 + C2 * ts) * e
-                else:
-                    vals = e * (C1 * np.cos(r2 * ts) + C2 * np.sin(r2 * ts))
-        return _outcome(xs, vals, ((over, _EXP_OVERFLOW),))
-
-    note = {
-        "real": f"two distinct real rates {r1!r} and {r2!r}; C1 multiplies "
-                "the smaller rate",
-        "repeated": f"repeated real rate {r1!r} with a linear-in-x factor",
-        "complex": f"damped oscillation, rate {r1!r}, angular frequency "
-                   f"{r2!r}",
-    }[case]
-    return ClosedFormSolution(
-        EquationClass.SECOND_ORDER, evaluate, x0,
-        {"C1": float(C1), "C2": float(C2)},
-        f"constant-coefficient second-order basis: {note}",
-        case=case)
+    return "real", c / big + 0.0, big
 
 
 def solve_second_order_ivp(b: float, c: float,
                            ic: InitialCondition) -> ClosedFormSolution:
     """Solve y'' + b y' + c y = 0 with y(x0) = y0 and y'(x0) = yp0.
 
-    The basis of solve_second_order is anchored at x0, so the constants
-    follow from (y0, yp0) in closed form and never scale with e^(r x0).
-    Constants outside double range raise ParameterError.
+    One formula in t = x - x0, anchored at the initial data, so the
+    constants are C1 = y0 and C2 = yp0 and none divides by a difference of
+    rates. With d = yp0 - r y0:
+
+    * real rates r and q, r the one of smaller magnitude, g = q - r:
+      y = e^(r t) (y0 + d expm1(g t)/g);
+    * a repeated rate r: y = e^(r t) (y0 + d t);
+    * complex rates r +- i w: y = e^(r t) (y0 cos(w t) + (d/w) sin(w t)).
+
+    The case is the sign of the discriminant b^2 - 4c, formed from b and c
+    scaled by 2^-e and 2^-2e, e the binary exponent of max(|b|, sqrt|c|)
+    where that is positive, so b^2 cannot overflow; the rate is repeated
+    only where it is exactly 0, as both forms are accurate on either side.
+    The real rate of larger magnitude is -b/2 - sign(b) sqrt(disc)/2 and
+    the other c divided by it, so neither is a cancelling difference.
+    Where g t > 0 the real bracket is carried scaled by e^(-g t), with g t
+    added to the exponent, so that no factor overflows before y does.
+    A d (or d/w) outside double range raises ParameterError.
     """
+    for name, v in (("b", b), ("c", c)):
+        if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            raise ParameterError(f"{name} must be a finite number")
     if ic.yp0 is None:
         raise ParameterError("second-order initial data needs yp0")
-    case, r1, r2 = _classify_roots(b, c)
-    y0, yp0 = ic.y0, ic.yp0
-    if case == "real":
-        C1 = (y0 * r2 - yp0) / (r2 - r1)
-        C2 = (yp0 - r1 * y0) / (r2 - r1)
-    elif case == "repeated":
-        C1, C2 = y0, yp0 - r1 * y0
-    else:
-        C1, C2 = y0, (yp0 - r1 * y0) / r2
-    if not (math.isfinite(C1) and math.isfinite(C2)):
+    case, r, q = _classify_roots(b, c)
+    x0, y0 = ic.x0, ic.y0
+    d = ic.yp0 - r * y0
+    if case == "complex":
+        d /= q
+    if not math.isfinite(d):
         raise ParameterError(
             "the second-order basis constants overflow for this initial data")
-    return solve_second_order(b, c, C1, C2, x0=ic.x0)
+    g = q - r
+
+    def evaluate(xs: np.ndarray):
+        ts = xs - x0
+        with np.errstate(over="ignore", invalid="ignore"):
+            if case == "complex":
+                z = r * ts
+                vals = np.exp(z) * (y0 * np.cos(q * ts) + d * np.sin(q * ts))
+            else:
+                gt = g * ts
+                # A pure slow mode (d = 0) is y0 e^(r t) exactly, even where
+                # e^(q t) overflows.
+                u = np.maximum(gt, 0.0) if d else np.zeros(ts.shape)
+                k = ts if g == 0.0 else np.where(
+                    gt > 0.0, -np.expm1(-gt), np.expm1(gt)) / g
+                z = r * ts + u
+                vals = np.exp(z) * (y0 * np.exp(-u) + d * k)
+        return _outcome(xs, vals, ((z > EXP_MAX, _EXP_OVERFLOW),))
+
+    form = {
+        "real": f"real rates {r!r} and {q!r}: y = exp(r*t)*(C1 + (C2 - "
+                "r*C1)*expm1((q - r)*t)/(q - r))",
+        "repeated": f"repeated real rate {r!r}: y = exp(r*t)*(C1 + (C2 - "
+                    "r*C1)*t)",
+        "complex": f"damped oscillation, rate {r!r}, angular frequency "
+                   f"{q!r}: y = exp(r*t)*(C1*cos(w*t) + (C2 - "
+                   "r*C1)*sin(w*t)/w)",
+    }[case]
+    return ClosedFormSolution(
+        EquationClass.SECOND_ORDER, evaluate, x0,
+        {"C1": float(y0), "C2": float(ic.yp0)},
+        f"constant-coefficient second order, t = x - x0, C1 = y0, C2 = yp0; "
+        f"{form}", case=case)
 
 
 def construct(spec: EquationSpec, ic: InitialCondition,

@@ -30,7 +30,6 @@ from odeform import (
     rk_reference,
     solve_bernoulli,
     solve_linear_ivp,
-    solve_second_order,
     solve_second_order_ivp,
 )
 
@@ -373,7 +372,7 @@ def test_residual_needs_bounded_range():
 
 
 def test_riccati_constant_log_derivative():
-    sol = solve_second_order(-3.0, 2.0, 1.0, 0.0)  # y = e^x, z = 1
+    sol = solve_second_order_ivp(-3.0, 2.0, ic(0.0, 1.0, 1.0))  # e^x, z = 1
     res = riccati_check(-3.0, 2.0, sol)
     assert res.passed
     assert res.max_deviation <= 1e-6
@@ -389,7 +388,7 @@ def test_riccati_repeated_root():
 
 
 def test_riccati_excludes_zeros_of_sine():
-    sol = solve_second_order(0.0, 1.0, 0.0, 1.0)  # sin x
+    sol = solve_second_order_ivp(0.0, 1.0, ic(0.0, 0.0, 1.0))  # sin x
     res = riccati_check(0.0, 1.0, sol, xrange=(0.0, math.pi))
     assert res.passed
     assert res.grid_size < 200  # endpoints of the grid sit near sin's zeros
@@ -397,7 +396,7 @@ def test_riccati_excludes_zeros_of_sine():
 
 
 def test_riccati_inconclusive_on_zero_solution():
-    sol = solve_second_order(0.0, 1.0, 0.0, 0.0)
+    sol = solve_second_order_ivp(0.0, 1.0, ic(0.0, 0.0, 0.0))
     with pytest.raises(InconclusiveError):
         riccati_check(0.0, 1.0, sol)
 
