@@ -230,7 +230,9 @@ def _clenshaw(coef, idx, t):
 def _cells(fn, a, b, share, rel_tol, chain):
     """Chebyshev cells from a[i] to b[i], all of one orientation.
 
-    ``fn(x, cell)`` is a masked integrand, given each sample's cell index.
+    ``fn(x, cell)`` is a masked integrand: x holds the _DEG + 1 samples of
+    each part in one row after another, and cell the index of each row's
+    cell.
     A cell is accepted where its last three coefficients, times its width,
     fit its tolerance max(share, rel_tol * |cell integral|) in proportion
     to its width, or are down to what rounding its samples and their
@@ -264,7 +266,7 @@ def _cells(fn, a, b, share, rel_tol, chain):
     while cid.size:
         half = 0.5 * (pb - pa)
         pts = (0.5 * pa + 0.5 * pb)[:, None] + half[:, None] * _TAU
-        vals = fn(pts.ravel(), np.repeat(cid, _DEG + 1)).reshape(pts.shape)
+        vals = fn(pts.ravel(), cid).reshape(pts.shape)
         finite = np.isfinite(vals)
         bad = ~finite.all(axis=1)
         if bad.any():
@@ -505,8 +507,8 @@ class Antiderivative:
         return None, None
 
     def _integrand(self, xs, top):
-        """The integrand at the points xs, scaled by exp(-top); top is 0
-        in a plain antiderivative."""
+        """The integrand at the points xs, scaled by exp(-top), top given
+        per row of _DEG + 1 samples; top is 0 in a plain antiderivative."""
         return self._masked(xs)
 
     def _grow(self, side: _Side, n: int):
@@ -684,7 +686,7 @@ class _Scaled(Antiderivative):
     def _integrand(self, xs, top):
         z, _ = self._exponents(xs)
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._masked(xs) * np.exp(z - top)
+            return self._masked(xs) * np.exp(z - np.repeat(top, _DEG + 1))
 
     def read(self, xs):
         """(z, lam, V) at the 1-D array of points xs; V is NaN where it

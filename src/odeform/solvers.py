@@ -637,19 +637,16 @@ def solve_second_order_ivp(b: float, c: float,
         return _outcome(xs, vals, ((z > EXP_MAX, _EXP_OVERFLOW),))
 
     form = {
-        "real": f"real rates {r!r} and {q!r}: y = exp(r*t)*(C1 + (C2 - "
-                "r*C1)*expm1((q - r)*t)/(q - r))",
-        "repeated": f"repeated real rate {r!r}: y = exp(r*t)*(C1 + (C2 - "
-                    "r*C1)*t)",
-        "complex": f"damped oscillation, rate {r!r}, angular frequency "
-                   f"{q!r}: y = exp(r*t)*(C1*cos(w*t) + (C2 - "
-                   "r*C1)*sin(w*t)/w)",
+        "real": "(y0 + (yp0 - r*y0)*expm1(g*t)/g), real rates "
+                f"r = {r!r} and r + g = {q!r}",
+        "repeated": f"(y0 + (yp0 - r*y0)*t), repeated real rate r = {r!r}",
+        "complex": "(y0*cos(w*t) + (yp0 - r*y0)*sin(w*t)/w), rate "
+                   f"r = {r!r}, angular frequency w = {q!r}",
     }[case]
     return ClosedFormSolution(
         EquationClass.SECOND_ORDER, evaluate, x0,
         {"C1": float(y0), "C2": float(ic.yp0)},
-        f"constant-coefficient second order, t = x - x0, C1 = y0, C2 = yp0; "
-        f"{form}", case=case)
+        f"anchored second order, t = x - x0: y = exp(r*t)*{form}", case=case)
 
 
 def construct(spec: EquationSpec, ic: InitialCondition,

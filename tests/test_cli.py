@@ -688,6 +688,50 @@ def test_second_order_extreme_rates_solve_correctly(b, hi, x, y):
     assert last[0] == x and last[1] == pytest.approx(y, rel=1e-15)
 
 
+def validity_of(out):
+    line = next(ln for ln in out.splitlines()
+                if ln.startswith("# validity: "))
+    return tuple(float(v) for v in line[len("# validity: "):].split(":"))
+
+
+def test_second_order_fast_mode_ends_validity():
+    # The e^(-1e200 t) mode has weight about -1e-400, so y leaves double
+    # range by x = -1.6e-197. Its case-basis constant underflowed to -0:
+    # validity read -inf:inf and y(-1) read 1.
+    code, out, err = invoke(["solve"] + _SECOND_ORDER_IVP
+                            + ["--b", "1e200", "--c", "1", "--range=-1:1",
+                               "--samples", "3"])
+    assert (code, err) == (0, "")
+    lo, hi = validity_of(out)
+    assert -1e-10 <= lo < 0.0 and hi == math.inf
+    assert all(x >= lo and y == 1.0 for x, y in csv_rows(out))
+
+
+def test_second_order_opposite_rates_keep_their_validity():
+    # y = cosh(x): e^(2x) alone overflows from x = 354.9, and the bracket
+    # is scaled so that validity still ends where e^|x| does.
+    code, out, err = invoke(["solve"] + _SECOND_ORDER_IVP
+                            + ["--b", "0", "--c=-1", "--range=-800:800",
+                               "--samples", "5"])
+    assert (code, err) == (0, "")
+    lo, hi = validity_of(out)
+    edge = math.log(sys.float_info.max)
+    assert abs(lo + edge) <= 1e-8 and abs(hi - edge) <= 1e-8
+    for x, y in csv_rows(out):
+        assert y == pytest.approx(math.cosh(x), rel=1e-13)
+
+
+def test_near_repeated_rates_verify():
+    # c = 1 - 1e-11: the case-basis constants grew like 1/(r2 - r1) and
+    # cancelled, and the residual (3.5e-3) and Riccati (3.2e-2) checks
+    # failed an answer the oracle agreed with to 3.6e-10.
+    code, out, err = invoke(["verify"] + _SECOND_ORDER_IVP
+                            + ["--b", "2", "--c", "0.99999999999",
+                               "--range", "0:10"])
+    assert (code, err) == (0, "")
+    assert "# overall: pass" in out
+
+
 def test_second_order_overflowing_discriminant_names_no_constant():
     # The constructor failed on "C2 must be a finite number", a constant the
     # user never gave. The closed form now stands; the explicit oracle

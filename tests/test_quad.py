@@ -103,6 +103,26 @@ def test_divergent_integrand_raises_convergence_error():
     assert f"max_depth={quad._MAX_DEPTH}" in str(err)  # names the cap
 
 
+@pytest.mark.parametrize("text, a, b, generations", [
+    # 160,000 periods: the parts double each generation until one holds
+    # more than _PANEL_BUDGET of them, and all stop there.
+    ("sin(1000000*x)", 0.0, 1.0, quad._PANEL_BUDGET.bit_length() + 1),
+    # Not integrable at 0: the parts beside it are 2000/2^50 wide, far
+    # above the width floor, when the depth cap stops them.
+    ("1/abs(x)", -1000.0, 1000.0, quad._MAX_DEPTH + 1),
+])
+def test_bisection_caps_end_in_a_convergence_error(text, a, b, generations):
+    expr, calls = parse(text), []
+
+    def fn(xs):
+        calls.append(xs.size)  # one call per generation of parts
+        return expr.eval_many(xs, masked=True)
+
+    with pytest.raises(ConvergenceError):
+        integrate(fn, a, b)
+    assert len(calls) == generations
+
+
 @pytest.mark.parametrize("bad, kind", [(np.inf, EvalOverflowError),
                                        (np.nan, EvalDomainError)])
 def test_non_finite_integrand_raises_naming_a_node(bad, kind):

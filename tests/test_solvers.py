@@ -536,6 +536,33 @@ def test_second_order_case_boundary_continuity():
         assert np.all(np.abs(near - expect) <= 1e-14 * np.abs(expect)), c
 
 
+@pytest.mark.parametrize("b, c, lo, hi, pointwise", [
+    # Near a repeated rate y has no zero on [0, 10]: relative to y itself.
+    (2.0, 1.0 - 1e-11, 0.0, 10.0, True),
+    (2.0, 1.0 - 1e-9, 0.0, 10.0, True),
+    (2.0, 1.0 - 1e-7, 0.0, 10.0, True),
+    (2.0, 1.0 + 1e-11, 0.0, 10.0, True),
+    # These y cross 0 in [-1, 2]: relative to the magnitude of the modes.
+    (3.0, 2.0, -1.0, 2.0, False),
+    (0.5, 4.0, -1.0, 2.0, False),
+    (-3.0, 2.0, -1.0, 2.0, False),
+])
+def test_second_order_matches_a_60_digit_reference(b, c, lo, hi, pointwise):
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.linspace(lo, hi, 201)
+    got = solve_second_order_ivp(b, c, ic(0.0, 1.0, 0.0)).values(xs)
+    with mpmath.workdps(60):
+        # y = A e^(r1 t) + B e^(r2 t) with y(0) = 1, y'(0) = 0, the rates
+        # complex where the discriminant is negative.
+        root = mpmath.sqrt(mpmath.mpc(mpmath.mpf(b) ** 2 - 4 * mpmath.mpf(c)))
+        r1, r2 = (-b + root) / 2, (-b - root) / 2
+        A, B = r2 / (r2 - r1), -r1 / (r2 - r1)
+        for x, y in zip(xs, got):
+            u, v = A * mpmath.exp(r1 * x), B * mpmath.exp(r2 * x)
+            scale = abs(u + v) if pointwise else abs(u) + abs(v)
+            assert abs(y - (u + v).real) <= 1e-14 * scale, x
+
+
 def test_second_order_overflow_limits_validity():
     sol = solve_second_order_ivp(-3.0, 2.0, ic(0.0, 1.0, 1.0))  # y = e^x
     with pytest.raises(OutsideValidityError):
@@ -647,7 +674,7 @@ def test_second_order_rates_do_not_overflow_or_cancel():
     assert_ulps(sol.value(0.5), math.exp(-0.5))
     # Ordinary rates keep their bits.
     sol = solve_second_order_ivp(3.0, 2.0, ic(0.0, 1.0, 0.0))
-    assert "real rates -1.0 and -2.0:" in sol.provenance
+    assert "real rates r = -1.0 and r + g = -2.0" in sol.provenance
 
 
 def test_second_order_constants_outside_double_range_are_named():
